@@ -1,7 +1,7 @@
 PYTHON ?= python
 PYTHONPATH := src
 
-.PHONY: test lint typecheck analyze analyze-baseline sarif fuzz fuzz-smoke bench-smoke bench-gate compete-smoke profile coverage ci clean
+.PHONY: test lint typecheck analyze analyze-baseline sarif fuzz fuzz-smoke compete-smoke profile coverage ci clean
 
 test:
 	PYTHONPATH=$(PYTHONPATH) $(PYTHON) -m pytest -x -q
@@ -53,46 +53,21 @@ typecheck:
 		echo "mypy not installed; skipping (pip install mypy)"; \
 	fi
 
-# Fixed benchmark subset through every engine; per-engine wall/encode/sat
-# seconds, the preprocessing on/off comparison, and the cold-vs-warm
-# result-cache comparison land in BENCH_PR4.json, the
-# incremental-vs-scratch comparison on the prefix-sharing family lands
-# in BENCH_PR6.json, the arena-vs-legacy SAT core comparison on the
-# large generated families lands in BENCH_PR7.json, and the
-# cube-and-conquer-vs-sequential comparison (with the clause-sharing
-# ablation) on the hard families lands in BENCH_PR8.json (CI uploads
-# all and fails if preprocessing, the cache, incremental solving, the
-# arena solver, or the cube conductor changes a verdict).
-bench-smoke:
-	PYTHONPATH=$(PYTHONPATH) $(PYTHON) -m repro bench-smoke \
-		--out BENCH_PR4.json --incremental-out BENCH_PR6.json \
-		--families large --sat-core-out BENCH_PR7.json \
-		--cube-out BENCH_PR8.json --cube-families hard --cube-procs 4
-
 # SMT-LIB evaluation smoke: sweeps the committed fixture corpus plus a
 # benchgen-emitted mini-corpus through the hybrid and portfolio engines
 # (repro compete), failing on any verdict-vs-:status mismatch or
-# instance error; the SMT-COMP-style scoring report lands in
-# BENCH_PR9.json (CI uploads it).
+# instance error; the SMT-COMP-style scoring report lands in the
+# git-ignored compete-report.json (CI uploads it).
 compete-smoke:
 	PYTHONPATH=$(PYTHONPATH) $(PYTHON) -m repro compete \
 		tests/fixtures/smtlib/corpus --emit-benchgen .compete-benchgen \
 		--methods hybrid,portfolio --timeout 30 --fail-on-error \
-		--out BENCH_PR9.json
+		--out compete-report.json
 
-# Perf-regression gate: compares BENCH_PR7.json's aggregate
-# arena-vs-legacy speedup and BENCH_PR8.json's cube-vs-sequential
-# speedup (machine-independent ratios) against the committed
-# benchmarks/baseline.json; fails on a verdict change, a >25% speedup
-# regression, or a dead clause-sharing conduit.  BENCH_PR9.json (from
-# compete-smoke) is checked too: mismatches fail, solved/PAR-2 movement
-# against the baseline's compete section only warns.
-bench-gate:
-	$(PYTHON) tools/bench_gate.py --cube-report BENCH_PR8.json \
-		--compete-report BENCH_PR9.json
-
-# cProfile one sat-core instance (PROFILE_ARGS picks instance/flags,
-# e.g. make profile PROFILE_ARGS="php_8_7 --legacy").
+# cProfile one generated CNF instance (PROFILE_ARGS picks instance/flags,
+# e.g. make profile PROFILE_ARGS="php_9_8 --cube").  The repository's
+# benchmark is perfbench/ (python3 perfbench/run.py; see
+# perfbench/NOTES.md), not a make target.
 profile:
 	PYTHONPATH=$(PYTHONPATH) $(PYTHON) tools/profile_sat.py $(PROFILE_ARGS)
 
@@ -117,5 +92,6 @@ fuzz-smoke:
 ci: lint typecheck test fuzz-smoke
 
 clean:
-	rm -rf fuzz-failures .pytest_cache .hypothesis .compete-benchgen
+	rm -rf fuzz-failures .pytest_cache .hypothesis .compete-benchgen \
+		compete-report.json
 	find . -name __pycache__ -type d -prune -exec rm -rf {} +

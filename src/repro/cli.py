@@ -15,18 +15,12 @@ Subcommands
 ``portfolio FILE...``
     Race every engine on each formula (first decided verdict wins);
     multiple files are decided concurrently by a worker pool.
-``bench-smoke``
-    Run the fixed smoke benchmark subset through every registered engine
-    and write per-engine timings to ``BENCH_PR4.json``, including a
-    preprocessing on/off comparison (vars/clauses/sat-wall) for the
-    eager engines and a cold-vs-warm result-cache comparison; exits
-    nonzero if preprocessing or the cache changes any verdict.
 ``compete DIR...``
     Sweep directories of SMT-LIB 2 benchmarks through one or more
     engines with per-instance timeouts, check every verdict against the
     scripts' ``(set-info :status ...)`` annotations, and print an
-    SMT-COMP-style scoring table (PAR-2, per-family breakdown); the
-    JSON artifact lands in ``BENCH_PR9.json``.  Exits 1 on any
+    SMT-COMP-style scoring table (PAR-2, per-family breakdown);
+    ``--out FILE`` also writes the report as JSON.  Exits 1 on any
     verdict-vs-status mismatch.
 ``serve``
     Serve validity requests as line-delimited JSON over stdin/stdout
@@ -189,76 +183,6 @@ def build_parser() -> argparse.ArgumentParser:
         help="print the winner's per-stage telemetry",
     )
 
-    smoke = sub.add_parser(
-        "bench-smoke",
-        help="run the fixed smoke benchmarks through every engine, "
-        "write per-engine timings plus a preprocessing on/off "
-        "comparison as JSON",
-    )
-    smoke.add_argument(
-        "--out",
-        default="BENCH_PR4.json",
-        metavar="FILE",
-        help="JSON output path (default BENCH_PR4.json)",
-    )
-    smoke.add_argument(
-        "--incremental-out",
-        default="BENCH_PR6.json",
-        metavar="FILE",
-        help="JSON output path for the incremental-vs-scratch section "
-        "(default BENCH_PR6.json; empty string disables)",
-    )
-    smoke.add_argument(
-        "--incremental-steps",
-        type=int,
-        default=None,
-        metavar="N",
-        help="length of the generated prefix-sharing chain",
-    )
-    smoke.add_argument(
-        "--sat-core-out",
-        default="BENCH_PR7.json",
-        metavar="FILE",
-        help="JSON output path for the arena-vs-legacy SAT core "
-        "comparison (default BENCH_PR7.json; empty string disables)",
-    )
-    smoke.add_argument(
-        "--families",
-        default="small",
-        metavar="NAMES",
-        help="comma-separated sat-core family subset: small and/or "
-        "large (default small)",
-    )
-    smoke.add_argument(
-        "--cube-out",
-        default="BENCH_PR8.json",
-        metavar="FILE",
-        help="JSON output path for the cube-vs-sequential comparison "
-        "(default BENCH_PR8.json; empty string disables)",
-    )
-    smoke.add_argument(
-        "--cube-families",
-        default="small",
-        metavar="NAMES",
-        help="comma-separated cube family subset: small and/or hard "
-        "(default small)",
-    )
-    smoke.add_argument(
-        "--cube-procs",
-        type=int,
-        default=None,
-        metavar="N",
-        help="worker processes for the cube-and-conquer bench arm "
-        "(default 4)",
-    )
-    smoke.add_argument("--timeout", type=float, default=None)
-    smoke.add_argument(
-        "--engines",
-        default=None,
-        metavar="NAMES",
-        help="comma-separated engine subset (default: every engine)",
-    )
-
     compete = sub.add_parser(
         "compete",
         help="sweep SMT-LIB benchmark directories with per-instance "
@@ -289,10 +213,9 @@ def build_parser() -> argparse.ArgumentParser:
     )
     compete.add_argument(
         "--out",
-        default="BENCH_PR9.json",
+        default=None,
         metavar="FILE",
-        help="JSON scoring artifact (default BENCH_PR9.json; empty "
-        "string disables)",
+        help="also write the scoring report as JSON to FILE",
     )
     compete.add_argument(
         "--emit-benchgen",
@@ -707,108 +630,6 @@ def _cmd_portfolio(args) -> int:
     return exit_code
 
 
-def _cmd_bench_smoke(args) -> int:
-    from .engine.bench_smoke import (
-        CUBE_FAMILIES,
-        DEFAULT_CUBE_PROCS,
-        DEFAULT_TIMEOUT,
-        PREFIX_FAMILY_STEPS,
-        SAT_CORE_FAMILIES,
-        format_table,
-        run_bench_smoke,
-        write_cube_report,
-        write_incremental_report,
-        write_report,
-        write_sat_core_report,
-    )
-
-    try:
-        engines = _parse_engine_list(args.engines)
-    except ValueError as exc:
-        print("error: %s" % exc, file=sys.stderr)
-        return 2
-    families = [f.strip() for f in args.families.split(",") if f.strip()]
-    unknown = [f for f in families if f not in SAT_CORE_FAMILIES]
-    if unknown:
-        print(
-            "error: unknown sat-core families %s (known: %s)"
-            % (", ".join(unknown), ", ".join(sorted(SAT_CORE_FAMILIES))),
-            file=sys.stderr,
-        )
-        return 2
-    cube_families = [
-        f.strip() for f in args.cube_families.split(",") if f.strip()
-    ]
-    unknown = [f for f in cube_families if f not in CUBE_FAMILIES]
-    if unknown:
-        print(
-            "error: unknown cube families %s (known: %s)"
-            % (", ".join(unknown), ", ".join(sorted(CUBE_FAMILIES))),
-            file=sys.stderr,
-        )
-        return 2
-    report = run_bench_smoke(
-        timeout=args.timeout or DEFAULT_TIMEOUT,
-        engines=engines,
-        incremental_steps=args.incremental_steps or PREFIX_FAMILY_STEPS,
-        sat_core_families=families or None,
-        cube_families=cube_families or None,
-        cube_procs=args.cube_procs or DEFAULT_CUBE_PROCS,
-    )
-    print(format_table(report))
-    if args.out:
-        write_report(report, args.out)
-        print("wrote %s" % args.out)
-    if args.incremental_out:
-        write_incremental_report(report, args.incremental_out)
-        print("wrote %s" % args.incremental_out)
-    if args.sat_core_out:
-        write_sat_core_report(report, args.sat_core_out)
-        print("wrote %s" % args.sat_core_out)
-    if args.cube_out:
-        write_cube_report(report, args.cube_out)
-        print("wrote %s" % args.cube_out)
-    if not report["meta"]["preprocess_verdicts_match"]:
-        print(
-            "error: preprocessing changed a verdict on the smoke suite "
-            "(see the preprocess section of the report)",
-            file=sys.stderr,
-        )
-        return 1
-    if not report["meta"]["cache_verdicts_match"]:
-        print(
-            "error: the result cache changed a verdict on the smoke suite "
-            "(see the cache section of the report)",
-            file=sys.stderr,
-        )
-        return 1
-    if not report["meta"]["incremental_verdicts_match"]:
-        print(
-            "error: incremental and scratch solving disagreed on the "
-            "prefix-sharing family (see the incremental section of the "
-            "report)",
-            file=sys.stderr,
-        )
-        return 1
-    if not report["meta"]["sat_core_verdicts_match"]:
-        print(
-            "error: the arena solver and the legacy reference disagreed "
-            "on a sat-core instance (see the sat_core section of the "
-            "report)",
-            file=sys.stderr,
-        )
-        return 1
-    if not report["meta"]["cube_verdicts_match"]:
-        print(
-            "error: cube-and-conquer and the sequential solver disagreed "
-            "on a cube instance (see the cube_vs_sequential section of "
-            "the report)",
-            file=sys.stderr,
-        )
-        return 1
-    return 0
-
-
 def _cmd_compete(args) -> int:
     from .engine.compete import (
         DEFAULT_TIMEOUT as COMPETE_DEFAULT_TIMEOUT,
@@ -1220,7 +1041,6 @@ def main(argv: Optional[List[str]] = None) -> int:
         "bench": _cmd_bench,
         "suite": _cmd_suite,
         "portfolio": _cmd_portfolio,
-        "bench-smoke": _cmd_bench_smoke,
         "compete": _cmd_compete,
         "serve": _cmd_serve,
         "experiment": _cmd_experiment,

@@ -27,8 +27,7 @@ class CacheStats:
     Attached to :class:`DecisionStats` by the ``cached`` engine wrapper
     and the batch dedupe path (:func:`repro.engine.portfolio.solve_batch`)
     so cache behaviour shows up in the same telemetry stream as every
-    other stage; ``repro bench-smoke`` aggregates these into the
-    warm-vs-cold section of its report.
+    other stage.
     """
 
     hits_memory: int = 0

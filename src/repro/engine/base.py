@@ -35,10 +35,6 @@ class EngineCapabilities:
         Can produce a falsifying interpretation for INVALID inputs.
     ``time_limit`` / ``conflict_limit``
         Honours the corresponding :class:`SolveRequest` knob.
-    ``preprocessing``
-        Honours ``SolveRequest.preprocess`` (runs the CNF simplifier
-        between CNF generation and the SAT search); ``bench-smoke`` uses
-        this to know which engines to measure with the stage on vs. off.
     """
 
     description: str = ""
@@ -47,7 +43,6 @@ class EngineCapabilities:
     countermodels: bool = True
     time_limit: bool = True
     conflict_limit: bool = False
-    preprocessing: bool = False
 
 
 class Engine(abc.ABC):

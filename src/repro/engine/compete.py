@@ -13,9 +13,8 @@ the sweep the way SMT-COMP does:
 * the PAR-2 score: solved instances contribute their wall time,
   unsolved ones twice the budget.
 
-The report is a plain-JSON artifact (``BENCH_PR9.json`` by default from
-the CLI) so CI can upload it and ``tools/bench_gate.py`` can compare the
-solved counts and PAR-2 against the committed baseline.
+The report is a plain-JSON artifact; the CLI writes it only when given
+``--out FILE``, and CI uploads the one ``make compete-smoke`` writes.
 
 Correctness framing: a *mismatch* — a decided verdict that contradicts
 the instance's ``:status`` — is a soundness bug in either the engine or

@@ -425,7 +425,6 @@ class CubeEngine(Engine):
         countermodels=True,
         time_limit=True,
         conflict_limit=True,
-        preprocessing=True,
     )
 
     def solve(self, request: SolveRequest) -> SolveOutcome:

@@ -46,7 +46,6 @@ class EagerEngine(Engine):
             countermodels=True,
             time_limit=True,
             conflict_limit=True,
-            preprocessing=True,
         )
 
     def solve(self, request: SolveRequest) -> SolveOutcome:

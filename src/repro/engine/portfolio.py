@@ -19,6 +19,7 @@ from __future__ import annotations
 
 import multiprocessing
 import queue as queue_mod
+import signal
 import time
 from typing import Any, Dict, List, Optional, Sequence, Tuple
 
@@ -104,6 +105,14 @@ def _request_from_payload(payload: Dict[str, Any]) -> SolveRequest:
 def _member_worker(name: str, payload: Dict[str, Any], out_queue: Any) -> None:
     """Run one member engine in a child process; always reports back."""
     from . import registry
+
+    # A forked member inherits its parent's handlers; ``repro serve``'s
+    # only sets a drain flag, which would swallow the SIGTERM that
+    # cancels a loser.  So SIGTERM kills a member again.  A terminal's
+    # Ctrl-C reaches the whole process group; only the parent acts on
+    # it (serve drains, other callers cancel their members).
+    signal.signal(signal.SIGTERM, signal.SIG_DFL)
+    signal.signal(signal.SIGINT, signal.SIG_IGN)
 
     try:
         outcome = registry.get(name).solve(_request_from_payload(payload))

@@ -3,12 +3,9 @@
 This is the object-per-clause solver exactly as it shipped before the
 arena refactor (PR 7): signed literals, one ``_Clause`` object per
 clause, tuple-based watcher lists.  It is **not** used by the engine —
-:mod:`repro.sat.solver` is the production solver.  It exists so that
-
-* ``tests/test_solver_arena.py`` can check the arena solver verdict-for-
-  verdict and model-for-model against the old implementation, and
-* ``bench-smoke --families large`` can measure the arena speedup as a
-  machine-independent arena/legacy time ratio (see tools/bench_gate.py).
+:mod:`repro.sat.solver` is the production solver.  It exists so
+that ``tests/test_solver_arena.py`` can check the arena solver
+verdict-for-verdict and model-for-model against the old implementation.
 
 Do not optimise or extend this module; fixes only if a soundness bug is
 found in both solvers.  It consumes the signed ``Cnf.clauses`` view, so

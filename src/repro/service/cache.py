@@ -457,7 +457,6 @@ class CachedEngine(Engine):
         complete=True,
         countermodels=True,
         time_limit=True,
-        preprocessing=True,
     )
 
     DEFAULT_INNER = "hybrid"

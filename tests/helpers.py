@@ -6,7 +6,7 @@ import random
 from typing import List, Optional
 
 from repro.logic import builders as b
-from repro.logic.terms import Formula, Term
+from repro.logic.terms import And, BoolVar, Formula, Lt, Offset, Or, Term, Var
 
 
 def random_term(rng: random.Random, vars_, funcs, depth: int) -> Term:
@@ -90,3 +90,24 @@ def random_sep_formula(seed: int, max_vars: int = 4, depth: int = 3) -> Formula:
     rng = random.Random(seed)
     vars_ = [b.const("s%d" % i) for i in range(rng.randint(1, max_vars))]
     return random_formula(rng, vars_, [], [b.bconst("B")], depth)
+
+
+def prefix_chain(steps: int) -> List[Formula]:
+    """A growing chain of difference constraints, one formula per link.
+
+    Link ``i`` puts ``x_i`` below ``x_{i+1}`` (with a varying offset and
+    a guarded slack disjunct, so each link carries both theory and
+    boolean structure); the last link closes the chain into a negative
+    cycle.  Every proper prefix is satisfiable and the whole chain is
+    not.
+    """
+    xs = [Var("pf_x%d" % i) for i in range(steps)]
+    chain: List[Formula] = [
+        And(
+            Lt(Offset(xs[i], i % 3), xs[i + 1]),
+            Or(BoolVar("pf_b%d" % i), Lt(xs[i], Offset(xs[i + 1], 4))),
+        )
+        for i in range(steps - 1)
+    ]
+    chain.append(Lt(xs[-1], xs[0]))
+    return chain

@@ -1,42 +1,21 @@
-"""The bench-smoke generated-family sections (engine/bench_smoke.py)."""
+"""The prefix-sharing chain, checked incrementally and from scratch.
 
-import json
+A retired benchmark report used to time this workload; its verdicts
+are checked here: every proper prefix is satisfiable, the whole chain is
+not, one session re-checked after every link agrees with a fresh session
+per prefix, and the final core is the whole chain.
+"""
 
-import pytest
+from helpers import prefix_chain
 
-from repro.engine.bench_smoke import (
-    PREFIX_FAMILY_STEPS,
-    SAT_CORE_FAMILIES,
-    _run_incremental_comparison,
-    pigeonhole_cnf,
-    prefix_sharing_family,
-    random_3cnf,
-    run_bench_smoke,
-    run_sat_core_comparison,
-    sat_core_instance,
-    write_incremental_report,
-    write_sat_core_report,
-)
-from repro.engine.session import Session
-from repro.logic.terms import Lt
+from repro.engine.session import SAT, UNSAT, Session
+from repro.logic.semantics import evaluate
+from repro.logic.terms import And
 
 
 class TestPrefixSharingFamily:
-    def test_default_length_and_shape(self):
-        family = prefix_sharing_family()
-        assert len(family) == PREFIX_FAMILY_STEPS
-        # The closing step is the bare back-edge of the negative cycle.
-        assert isinstance(family[-1], Lt)
-
-    def test_deterministic(self):
-        assert prefix_sharing_family(9) == prefix_sharing_family(9)
-
-    def test_rejects_degenerate_lengths(self):
-        with pytest.raises(ValueError):
-            prefix_sharing_family(1)
-
     def test_every_proper_prefix_sat_full_family_unsat(self):
-        family = prefix_sharing_family(6)
+        family = prefix_chain(6)
         for end in range(1, len(family) + 1):
             session = Session(engine="hybrid", cache=None)
             try:
@@ -45,127 +24,36 @@ class TestPrefixSharingFamily:
                 result = session.check_sat()
             finally:
                 session.close()
-            expected = "unsat" if end == len(family) else "sat"
+            expected = UNSAT if end == len(family) else SAT
             assert result.status == expected, "prefix of %d" % end
 
 
 class TestIncrementalComparison:
     def test_verdicts_agree_and_core_spans_chain(self):
-        report = _run_incremental_comparison(5.0, steps=8)
-        assert report["verdicts_match"]
-        assert report["expected_statuses_ok"]
-        assert report["final_status"] == "unsat"
-        # Every link participates in the closing negative cycle.
-        assert report["final_core_size"] == 8
-        assert len(report["rows"]) == 8
-        statuses = [r["status_incremental"] for r in report["rows"]]
-        assert statuses == ["sat"] * 7 + ["unsat"]
-
-    def test_row_timings_are_recorded(self):
-        report = _run_incremental_comparison(5.0, steps=4)
-        for row in report["rows"]:
-            assert row["wall_seconds_incremental"] >= 0.0
-            assert row["wall_seconds_scratch"] >= 0.0
-        assert report["wall_seconds_incremental"] > 0.0
-        assert report["wall_seconds_scratch"] > 0.0
-        assert report["speedup"] is not None
-
-
-class TestSatCoreGenerators:
-    def test_random_3cnf_deterministic_and_shaped(self):
-        a = random_3cnf(7, 30, 90)
-        b = random_3cnf(7, 30, 90)
-        assert a.clauses == b.clauses
-        assert a.num_vars == 30
-        assert len(a.clauses) == 90
-        for clause in a.clauses:
-            assert len(clause) == 3
-            assert len({abs(lit) for lit in clause}) == 3
-
-    def test_pigeonhole_shape(self):
-        cnf = pigeonhole_cnf(4, 3)
-        assert cnf.num_vars == 12
-        # 4 at-least-one clauses + 3 * C(4,2) at-most-one binaries.
-        assert len(cnf.clauses) == 4 + 3 * 6
-
-    def test_instance_lookup(self):
-        cnf = sat_core_instance("php_6_5")
-        assert cnf.num_vars == 30
-        with pytest.raises(ValueError):
-            sat_core_instance("no_such_instance")
-
-    def test_family_members_resolve(self):
-        for members in SAT_CORE_FAMILIES.values():
-            for name, _kind, _params in members:
-                assert sat_core_instance(name).num_vars > 0
-
-
-class TestSatCoreComparison:
-    def test_small_family_agrees_and_reports_timings(self):
-        section = run_sat_core_comparison(["small"])
-        assert section["verdicts_match"] is True
-        assert section["families"] == ["small"]
-        names = {n for n, _k, _p in SAT_CORE_FAMILIES["small"]}
-        assert set(section["instances"]) == names
-        for row in section["instances"].values():
-            assert row["status_arena"] == row["status_legacy"]
-            assert row["status_arena"] in ("SAT", "UNSAT")
-            assert row["seconds_arena"] > 0.0
-            assert row["seconds_legacy"] > 0.0
-            assert row["speedup"] is not None
-            assert row["conflicts_arena"] >= 0
-        agg = section["aggregate"]
-        assert agg["seconds_arena"] > 0.0
-        assert agg["speedup"] is not None
-
-    def test_unknown_family_rejected(self):
-        with pytest.raises(ValueError):
-            run_sat_core_comparison(["huge"])
-
-    def test_write_sat_core_report(self, tmp_path):
-        report = {
-            "meta": {
-                "python": "3.9.0",
-                "sat_core_verdicts_match": True,
-            },
-            "sat_core": {
-                "families": ["small"],
-                "instances": {},
-                "aggregate": {"speedup": 2.0},
-            },
-        }
-        path = tmp_path / "BENCH_PR7.json"
-        write_sat_core_report(report, str(path))
-        sub = json.loads(path.read_text())
-        assert sub["sat_core"]["aggregate"]["speedup"] == 2.0
-        assert sub["meta"]["sat_core_verdicts_match"] is True
-        assert "engines" not in sub
-
-
-class TestReportWiring:
-    def test_run_bench_smoke_includes_incremental_section(self):
-        report = run_bench_smoke(
-            engines=["hybrid"],
-            benchmarks=["pipeline_s2_r2_1"],
-            incremental_steps=4,
-        )
-        assert report["meta"]["incremental_verdicts_match"] is True
-        assert report["incremental"]["steps"] == 4
-        assert report["meta"]["sat_core_verdicts_match"] is True
-        assert report["sat_core"]["families"] == ["small"]
-
-    def test_write_incremental_report(self, tmp_path):
-        report = {
-            "meta": {
-                "python": "3.9.0",
-                "timeout_seconds": 5.0,
-                "incremental_verdicts_match": True,
-            },
-            "incremental": {"steps": 4, "speedup": 2.5},
-        }
-        path = tmp_path / "BENCH_PR6.json"
-        write_incremental_report(report, str(path))
-        sub = json.loads(path.read_text())
-        assert sub["incremental"]["speedup"] == 2.5
-        assert sub["meta"]["incremental_verdicts_match"] is True
-        assert "engines" not in sub
+        # One session grows the chain and re-checks after each assert, so
+        # learned clauses carry over from every prefix to the next.  The
+        # scratch side is a fresh session per prefix, because the one-shot
+        # engine path is about ten times slower on these conjunctions.
+        chain = prefix_chain(40)
+        statuses = []
+        session = Session(engine="hybrid", cache=None)
+        try:
+            for link, formula in enumerate(chain, 1):
+                session.assert_formula(formula)
+                result = session.check_sat()
+                scratch = Session(engine="hybrid", cache=None)
+                try:
+                    for prefix_formula in chain[:link]:
+                        scratch.assert_formula(prefix_formula)
+                    expected = scratch.check_sat().status
+                finally:
+                    scratch.close()
+                assert result.status == expected, "prefix of %d" % link
+                statuses.append(result.status)
+                if link < len(chain):
+                    assert evaluate(And(*chain[:link]), result.model)
+        finally:
+            session.close()
+        assert statuses == [SAT] * (len(chain) - 1) + [UNSAT]
+        # The negative cycle needs every link.
+        assert set(result.core) == set(chain)

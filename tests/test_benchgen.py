@@ -11,6 +11,7 @@ from repro.benchgen import (
     make_pipeline,
     make_transval,
 )
+from repro.benchgen.cnf import cnf_instance, pigeonhole_cnf, random_3cnf
 from repro.benchgen.suite import (
     DOMAINS,
     benchmark_by_name,
@@ -156,3 +157,34 @@ class TestInvariantCharacteristics:
             not c.has_inequality and not c.has_offset
             for c in analysis.classes
         )
+
+
+class TestSatCoreGenerators:
+    def test_random_3cnf_deterministic_and_shaped(self):
+        a = random_3cnf(7, 30, 90)
+        b = random_3cnf(7, 30, 90)
+        assert a.clauses == b.clauses
+        assert a.num_vars == 30
+        assert len(a.clauses) == 90
+        for clause in a.clauses:
+            assert len(clause) == 3
+            assert len({abs(lit) for lit in clause}) == 3
+
+    def test_pigeonhole_shape(self):
+        cnf = pigeonhole_cnf(4, 3)
+        assert cnf.num_vars == 12
+        # 4 at-least-one clauses + 3 * C(4,2) at-most-one binaries.
+        assert len(cnf.clauses) == 4 + 3 * 6
+
+    def test_instance_lookup(self):
+        cnf = cnf_instance("php_6_5")
+        assert cnf.num_vars == 30
+        for bad in ("no_such_instance", "r3_10_20", "php_6", "php_6_5_x"):
+            with pytest.raises(ValueError):
+                cnf_instance(bad)
+
+    def test_names_encode_parameters(self):
+        cnf = cnf_instance("r3_190_808_s19")
+        assert cnf.num_vars == 190
+        assert cnf.clauses == random_3cnf(19, 190, 808).clauses
+        assert cnf_instance("php_9_8").clauses == pigeonhole_cnf(9, 8).clauses

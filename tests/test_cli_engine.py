@@ -1,7 +1,6 @@
-"""CLI tests for the engine-layer surface: portfolio, bench-smoke, --stats."""
+"""CLI tests for the engine-layer surface: portfolio, bench, --stats."""
 
 import io
-import json
 import sys
 
 import pytest
@@ -127,32 +126,6 @@ class TestPortfolioCommand:
             ["portfolio", str(path), "--engines", "nope"]
         )
         assert code == 2
-
-
-class TestBenchSmokeCommand:
-    def test_writes_report(self, tmp_path):
-        out_path = tmp_path / "BENCH_PR2.json"
-        code, out = run_cli(
-            [
-                "bench-smoke",
-                "--out",
-                str(out_path),
-                "--engines",
-                "hybrid,eij",
-                "--timeout",
-                "10",
-            ]
-        )
-        assert code == 0
-        assert "engine" in out
-        report = json.loads(out_path.read_text())
-        assert set(report["engines"]) == {"hybrid", "eij"}
-        for rows in report["engines"].values():
-            assert set(rows) == set(report["meta"]["benchmarks"])
-            for row in rows.values():
-                assert row["status"] == "VALID"
-                assert row["wall_seconds"] >= 0
-                assert "encode_seconds" in row and "sat_seconds" in row
 
 
 class TestBenchViaRegistry:

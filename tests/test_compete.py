@@ -185,6 +185,16 @@ def test_cli_compete_exit_codes(corpus_dir, tmp_path, capsys):
     assert main(["compete", corpus_dir, "--methods", "nosuch"]) == 2
 
 
+def test_cli_compete_writes_report_only_with_out(
+    corpus_dir, tmp_path, monkeypatch
+):
+    workdir = tmp_path / "cwd"
+    workdir.mkdir()
+    monkeypatch.chdir(workdir)
+    assert main(["compete", corpus_dir, "--methods", "hybrid"]) == 0
+    assert os.listdir(workdir) == []
+
+
 def test_cli_compete_fail_on_error(tmp_path):
     root = str(tmp_path / "bench")
     _write(root, "broken.smt2", BROKEN_SCRIPT)

@@ -2,9 +2,9 @@
 
 import pytest
 
+from repro.benchgen.cnf import pigeonhole_cnf
 from repro.core.status import Status
 from repro.engine import registry
-from repro.engine.bench_smoke import pigeonhole_cnf
 from repro.engine.contract import SolveRequest
 from repro.engine.cube import conquer
 from repro.core.result import StageRecord

@@ -1,6 +1,6 @@
 """Lookahead cube generator tests: determinism, coverage, failed literals."""
 
-from repro.engine.bench_smoke import pigeonhole_cnf, random_3cnf
+from repro.benchgen.cnf import pigeonhole_cnf, random_3cnf
 from repro.sat.cnf import Cnf
 from repro.sat.cubes import (
     CubeConfig,

@@ -240,6 +240,7 @@ class TestRandomizedEquisat:
 
 class TestPipelineIntegration:
     def test_verdicts_match_with_and_without_preprocessing(self):
+        from repro.benchgen.suite import benchmark_by_name
         from repro.engine import registry
         from repro.engine.contract import SolveRequest
         from repro.logic.semantics import evaluate
@@ -251,7 +252,19 @@ class TestPipelineIntegration:
             b.implies(b.lt(x, y), b.bnot(b.eq(x, y))),
             b.band(b.lt(x, y), b.lt(y, x)),
         ]
-        for method in ("sd", "hybrid"):
+        # The smallest member of five suite domains: real encodings with
+        # thousands of clauses for the simplifier to work on.
+        formulas += [
+            benchmark_by_name(name).formula
+            for name in (
+                "pipeline_s2_r2_1",
+                "transval_s1_i3_1",
+                "ooo_t4_1",
+                "loadstore_e3_p6_1",
+                "driver_s3_1",
+            )
+        ]
+        for method in ("sd", "eij", "hybrid", "static"):
             engine = registry.get(method)
             for formula in formulas:
                 with_pre = engine.solve(
@@ -260,7 +273,7 @@ class TestPipelineIntegration:
                 without = engine.solve(
                     SolveRequest(formula=formula, preprocess=False)
                 )
-                assert with_pre.status == without.status
+                assert with_pre.status == without.status, method
                 if with_pre.counterexample is not None:
                     # The reconstructed countermodel must falsify the
                     # input formula, exactly like the raw one.

@@ -16,6 +16,9 @@ import subprocess
 import sys
 import time
 
+from repro.benchgen import benchmark_by_name
+from repro.engine.contract import SolveRequest
+from repro.engine.portfolio import solve_portfolio
 from repro.service.cache import ResultCache
 from repro.service.server import (
     ServeConfig,
@@ -568,3 +571,24 @@ class TestSubprocessEndToEnd:
             by_id = {r["id"]: r for r in responses if "id" in r}
             assert by_id[1]["status"] == "VALID"
             assert by_id[1]["cache"][expect_tier] == 1
+
+
+class TestRaceCancellation:
+    def test_serve_style_sigterm_handler_does_not_stall_cancellation(self):
+        # Like serve's drain-flag handler, this one swallows SIGTERM.
+        # Race members inherit it and must still die at once when the
+        # loser is cancelled.
+        previous = signal.signal(signal.SIGTERM, lambda signum, frame: None)
+        try:
+            started = time.perf_counter()
+            outcome = solve_portfolio(
+                SolveRequest(formula=benchmark_by_name("cache_c4_3").formula),
+                engines=["hybrid", "svc"],
+            )
+            elapsed = time.perf_counter() - started
+        finally:
+            signal.signal(signal.SIGTERM, previous)
+        race = next(r for r in outcome.stages if r.name == "race")
+        assert outcome.winner == "hybrid"
+        assert race.counters["cancelled"] == 1
+        assert elapsed < 1.0

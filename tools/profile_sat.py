@@ -1,11 +1,12 @@
 #!/usr/bin/env python
 """cProfile runner for the SAT core (``make profile``).
 
-Solves one generated sat-core instance (see
-``repro.engine.bench_smoke.SAT_CORE_FAMILIES``) under cProfile and
-prints the top functions by internal time — the profile-first loop the
-arena refactor was tuned with.  The hot loop should be dominated by
-``_propagate``; anything else rising to the top is the next target.
+Solves one generated CNF instance (named as in
+``repro.benchgen.cnf.cnf_instance``: ``r3_<vars>_<clauses>_s<seed>`` or
+``php_<pigeons>_<holes>``) under cProfile and prints the top functions
+by internal time — the profile-first loop the arena refactor was tuned
+with.  The hot loop should be dominated by ``_propagate``; anything
+else rising to the top is the next target.
 
 With ``--cube`` the same instance is solved by the cube-and-conquer
 conductor instead: the conductor (cube generation, scheduling, clause
@@ -17,8 +18,8 @@ parallel solve, not just the parent process.
 
 Usage::
 
-    PYTHONPATH=src python tools/profile_sat.py [instance] [--legacy]
-        [--cube] [--procs 4] [--depth N] [--sort tottime] [--limit 20]
+    PYTHONPATH=src python tools/profile_sat.py [instance] [--cube]
+        [--procs 4] [--depth N] [--sort tottime] [--limit 20]
 """
 
 from __future__ import annotations
@@ -88,12 +89,7 @@ def main(argv=None) -> int:
         "instance",
         nargs="?",
         default="r3_190_808_s19",
-        help="sat-core instance name (default r3_190_808_s19)",
-    )
-    parser.add_argument(
-        "--legacy",
-        action="store_true",
-        help="profile the frozen pre-arena reference solver instead",
+        help="CNF instance name (default r3_190_808_s19)",
     )
     parser.add_argument(
         "--cube",
@@ -125,30 +121,16 @@ def main(argv=None) -> int:
     )
     args = parser.parse_args(argv)
 
-    from repro.engine.bench_smoke import cube_instance, sat_core_instance
-
-    if args.legacy:
-        from repro.sat.legacy_solver import CdclSolver
-    else:
-        from repro.sat.solver import CdclSolver
+    from repro.benchgen.cnf import cnf_instance
+    from repro.sat.solver import CdclSolver
 
     try:
-        cnf = sat_core_instance(args.instance)
-    except ValueError:
-        try:
-            # Cube-family instances (php_9_8, ...) are valid targets too.
-            cnf = cube_instance(args.instance)
-        except ValueError as exc:
-            print("profile: %s" % exc, file=sys.stderr)
-            return 2
+        cnf = cnf_instance(args.instance)
+    except ValueError as exc:
+        print("profile: %s" % exc, file=sys.stderr)
+        return 2
 
     if args.cube:
-        if args.legacy:
-            print(
-                "profile: --cube and --legacy are mutually exclusive",
-                file=sys.stderr,
-            )
-            return 2
         return _profile_cube(cnf, args)
 
     solver = CdclSolver(cnf)
@@ -157,13 +139,8 @@ def main(argv=None) -> int:
     result = solver.solve()
     profiler.disable()
     print(
-        "%s on %s: %s (%d conflicts)"
-        % (
-            "legacy" if args.legacy else "arena",
-            args.instance,
-            result.status,
-            result.stats.conflicts,
-        )
+        "arena on %s: %s (%d conflicts)"
+        % (args.instance, result.status, result.stats.conflicts)
     )
     stats = pstats.Stats(profiler)
     stats.sort_stats(args.sort).print_stats(args.limit)
