@@ -40,7 +40,9 @@ def test_lazy_modes(benchmark, bench, mode):
     if result.valid is not None:
         assert result.valid == bench.expected_valid
     benchmark.extra_info["status"] = result.status
-    benchmark.extra_info["iterations"] = result.stats.iterations
+    benchmark.extra_info["iterations"] = result.stats.counter(
+        "refine", "iterations"
+    )
     _ROWS[(bench.name, mode)] = result
 
 
@@ -58,8 +60,8 @@ def test_lazy_modes_summary(capsys):
                 "  %-20s iterations inc=%d restart=%d  status %s/%s"
                 % (
                     n,
-                    inc.stats.iterations,
-                    res.stats.iterations,
+                    inc.stats.counter("refine", "iterations"),
+                    res.stats.counter("refine", "iterations"),
                     inc.status,
                     res.status,
                 )

@@ -33,7 +33,7 @@ def main() -> None:
                 method,
                 result.status,
                 result.stats.total_seconds,
-                result.stats.cnf_clauses,
+                result.stats.counter("cnf", "clauses"),
             )
         )
 

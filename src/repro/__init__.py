@@ -25,7 +25,7 @@ paper's evaluation.
 """
 
 from .core.decision import check_validity
-from .core.result import DecisionResult, DecisionStats
+from .core.result import DecisionStats, SolveOutcome
 from .core.status import Status
 from .logic import builders
 from .logic.parser import parse_formula, parse_term
@@ -35,8 +35,8 @@ __version__ = "1.0.0"
 
 __all__ = [
     "check_validity",
-    "DecisionResult",
     "DecisionStats",
+    "SolveOutcome",
     "Status",
     "builders",
     "parse_formula",

@@ -528,7 +528,7 @@ def _cmd_check(args) -> int:
     print(
         "time: %.3fs (encode %.3fs, search %.3fs)"
         % (
-            result.stats.total_seconds,
+            result.wall_seconds,
             result.stats.encode_seconds,
             result.stats.sat_seconds,
         )
@@ -564,7 +564,7 @@ def _cmd_bench(args) -> int:
         % (
             bench.name,
             result.status,
-            result.stats.total_seconds,
+            result.wall_seconds,
             bench.expected_valid,
             bench.dag_size,
             won,

@@ -12,10 +12,12 @@ Pipeline (paper §2.1):
    bounds completed by Bellman–Ford, maximal-diversity values for ``V_p``)
    and lifted to function tables.
 
-:func:`check_validity` is the main public entry point of the library.
-The pipeline itself lives in :mod:`repro.engine.stages` (each stage
-individually timed and counted); this module keeps the historical API
-plus the model-decoding helpers shared by the lazy and SVC baselines.
+:func:`check_validity` is the main public entry point of the library;
+it returns a :class:`~repro.core.result.SolveOutcome`.  The pipeline
+itself lives in :mod:`repro.engine.stages` (each stage individually
+timed and counted); this module keeps the entry point plus the
+CNF-model and decoding helpers shared by the eager pipeline, the lazy
+and SVC baselines, and incremental sessions.
 """
 
 from __future__ import annotations
@@ -25,18 +27,25 @@ from typing import Any, Dict, Optional
 from ..encodings.bitvector import bv_value
 from ..encodings.hybrid import DEFAULT_SEP_THOLD, Encoding
 from ..logic.semantics import Interpretation, evaluate_term
-from ..logic.terms import BoolVar, Formula
+from ..logic.terms import BoolVar, Formula, Not
 from ..logic.traversal import (
     collect_bool_vars,
     collect_vars,
     max_offset_magnitude,
 )
+from ..sat.cnf import Cnf
 from ..separation.unionfind import DisjointSet
 from ..theory.difference import check_bounds
 from ..transform.func_elim import FuncElimInfo
-from .result import DecisionResult
+from .result import SolveOutcome
 
-__all__ = ["check_validity", "decode_countermodel", "lift_countermodel"]
+__all__ = [
+    "check_validity",
+    "boolvar_model",
+    "dimacs_literal",
+    "decode_countermodel",
+    "lift_countermodel",
+]
 
 METHODS = ("sd", "eij", "hybrid", "static")
 
@@ -50,7 +59,7 @@ def check_validity(
     sat_conflict_limit: Optional[int] = None,
     want_countermodel: bool = True,
     sd_ranges: str = "uniform",
-) -> DecisionResult:
+) -> SolveOutcome:
     """Decide whether a SUF formula is valid.
 
     Parameters
@@ -81,7 +90,7 @@ def check_validity(
     from ..engine.contract import SolveRequest
     from ..engine.stages import run_eager
 
-    outcome = run_eager(
+    return run_eager(
         SolveRequest(
             formula=formula,
             sep_thold=sep_thold,
@@ -93,7 +102,22 @@ def check_validity(
         ),
         method=method,
     )
-    return outcome.to_decision_result()
+
+
+def boolvar_model(cnf: Cnf, model: Dict[int, bool]) -> Dict[BoolVar, bool]:
+    """Restrict a DIMACS model to the named Boolean variables."""
+    out: Dict[BoolVar, bool] = {}
+    for var, name in cnf.names.items():
+        if isinstance(name, BoolVar) and var in model:
+            out[name] = model[var]
+    return out
+
+
+def dimacs_literal(cnf: Cnf, literal: Formula) -> int:
+    """Map a registry literal (BoolVar or its negation) to a DIMACS lit."""
+    if isinstance(literal, Not):
+        return -cnf.var_for(literal.arg)
+    return cnf.var_for(literal)
 
 
 def decode_countermodel(

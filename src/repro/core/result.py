@@ -1,23 +1,43 @@
-"""Result and statistics types for the decision procedures."""
+"""Result and statistics types for the decision procedures.
+
+Every engine returns one :class:`SolveOutcome`; its ``stats.stages``
+list of :class:`StageRecord` entries is the only place a solve's times
+and sizes are written.  The paper's figures (translation time, SAT
+time, CNF size, SepCnt) are derived from those records.
+"""
 
 from __future__ import annotations
 
+import time
+from contextlib import contextmanager
 from dataclasses import dataclass, field
-from typing import Dict, List, Optional
+from typing import Dict, FrozenSet, Iterator, List, Optional
 
-from ..encodings.hybrid import EncodingStats
 from ..logic.semantics import Interpretation
-from ..sat.preprocess import PreprocessStats
 from ..sat.solver import SatStats
 from .status import Status
 
 __all__ = [
     "StageRecord",
+    "StageClock",
     "CacheStats",
     "DecisionStats",
-    "DecisionResult",
+    "SolveOutcome",
+    "FRONT_END_STAGES",
+    "SEARCH_STAGES",
     "Status",
 ]
+
+#: Stages whose seconds count as translation time (the paper's "time
+#: taken to translate the formula to a Boolean formula").
+FRONT_END_STAGES: FrozenSet[str] = frozenset(
+    ("func-elim", "encode", "cnf", "preprocess", "flatten")
+)
+#: Stages whose seconds count as search time.  ``decode``, ``race`` and
+#: ``cache`` count in neither set; only ``wall_seconds`` covers them.
+SEARCH_STAGES: FrozenSet[str] = frozenset(
+    ("sat", "refine", "split", "enumerate")
+)
 
 
 @dataclass
@@ -75,30 +95,65 @@ class StageRecord:
         return parts
 
 
+class StageClock:
+    """Collects :class:`StageRecord` entries with wall-clock timing.
+
+    Use as ``with clock.stage("encode") as rec: ...``; counters added to
+    ``rec.counters`` inside the block are kept, the elapsed time is
+    stamped on exit (also on exceptions, so failed stages still report
+    how long they ran).
+    """
+
+    def __init__(self) -> None:
+        self.records: List[StageRecord] = []
+
+    @contextmanager
+    def stage(self, name: str) -> Iterator[StageRecord]:
+        record = StageRecord(name=name)
+        self.records.append(record)
+        start = time.perf_counter()
+        try:
+            yield record
+        finally:
+            record.seconds = time.perf_counter() - start
+
+
 @dataclass
 class DecisionStats:
-    """Timing and size measurements for one validity check.
+    """Statistics for one validity check, derived from its stages.
 
-    ``encode_seconds`` covers everything up to and including CNF
-    generation (the paper's "time taken to translate the formula to a
-    Boolean formula"); ``sat_seconds`` is the SAT search.  Their sum is the
-    paper's "total time".  ``stages`` is the finer-grained uniform
-    telemetry recorded by the engine layer (func-elim → encode → CNF →
-    SAT → decode for the eager pipeline).
+    ``stages`` is the per-stage telemetry every engine records (func-elim
+    → encode → CNF → preprocess → SAT → decode for the eager pipeline).
+    ``encode_seconds`` sums the front-end stages (the paper's translation
+    time), ``sat_seconds`` the search stages; their sum is the paper's
+    "total time".  ``sat`` keeps the SAT solver's own counters and
+    ``cache`` the result-cache counters.
     """
 
     method: str = ""
-    dag_size_suf: int = 0
-    dag_size_sep: int = 0
-    encode_seconds: float = 0.0
-    sat_seconds: float = 0.0
-    cnf_vars: int = 0
-    cnf_clauses: int = 0
-    encoding: Optional[EncodingStats] = None
-    preprocess: Optional[PreprocessStats] = None
     sat: Optional[SatStats] = None
     cache: Optional[CacheStats] = None
     stages: List[StageRecord] = field(default_factory=list)
+
+    def counter(self, stage: str, key: str) -> int:
+        """Counter ``key`` of the first stage named ``stage`` (0 if absent),
+        e.g. ``counter("cnf", "clauses")`` or ``counter("func-elim",
+        "dag_suf")``."""
+        for record in self.stages:
+            if record.name == stage:
+                return record.counters.get(key, 0)
+        return 0
+
+    def _seconds(self, names: FrozenSet[str]) -> float:
+        return sum(r.seconds for r in self.stages if r.name in names)
+
+    @property
+    def encode_seconds(self) -> float:
+        return self._seconds(FRONT_END_STAGES)
+
+    @property
+    def sat_seconds(self) -> float:
+        return self._seconds(SEARCH_STAGES)
 
     @property
     def total_seconds(self) -> float:
@@ -107,49 +162,48 @@ class DecisionStats:
     @property
     def conflict_clauses(self) -> int:
         """The paper's Figure-2 metric: conflict clauses added by the SAT
-        solver."""
-        return self.sat.learned_clauses if self.sat else 0
+        solver (the ``sat`` stage's ``learned`` counter)."""
+        return self.counter("sat", "learned")
 
     @property
     def sep_predicates(self) -> int:
         """SepCnt summed over classes — the paper's Figure-3 x-axis."""
-        return self.encoding.total_sep_count if self.encoding else 0
+        return self.counter("encode", "sep_count")
 
     def normalized_seconds(self) -> float:
         """Total time per thousand SUF DAG nodes (Figure 3's y-axis)."""
-        knodes = max(self.dag_size_suf, 1) / 1000.0
+        knodes = max(self.counter("func-elim", "dag_suf"), 1) / 1000.0
         return self.total_seconds / knodes
 
 
 @dataclass
-class DecisionResult:
-    """Outcome of :func:`repro.core.decision.check_validity`."""
+class SolveOutcome:
+    """What every engine returns.
 
-    # String-compatible class constants, kept for backward compatibility
-    # (``result.status == DecisionResult.VALID`` and ``== "VALID"`` both
-    # keep working; see :class:`repro.core.status.Status`).
-    VALID = Status.VALID
-    INVALID = Status.INVALID
-    UNKNOWN = Status.UNKNOWN
-    TRANSLATION_LIMIT = Status.TRANSLATION_LIMIT
+    ``engine`` is the registry name that produced the outcome; for the
+    portfolio it is ``"portfolio"`` and ``winner`` names the member whose
+    verdict was adopted.  ``wall_seconds`` is the whole solve, including
+    stages that count as neither translation nor search (decode, race,
+    cache); ``stats.stages`` holds the per-stage telemetry.
+    """
 
+    engine: str
     status: Status
     stats: DecisionStats = field(default_factory=DecisionStats)
     counterexample: Optional[Interpretation] = None
     detail: str = ""
+    wall_seconds: float = 0.0
+    winner: Optional[str] = None
 
     @property
     def valid(self) -> Optional[bool]:
-        """True / False when decided, ``None`` when a limit was hit."""
-        if self.status == self.VALID:
-            return True
-        if self.status == self.INVALID:
-            return False
-        return None
+        """True / False when decided, ``None`` otherwise."""
+        return Status(self.status).as_valid
 
-    def __repr__(self) -> str:
-        return "DecisionResult(status=%s, method=%s, total=%.3fs)" % (
-            self.status,
-            self.stats.method,
-            self.stats.total_seconds,
-        )
+    @property
+    def decided(self) -> bool:
+        return self.valid is not None
+
+    @property
+    def stages(self) -> List[StageRecord]:
+        return self.stats.stages

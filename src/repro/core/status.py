@@ -1,9 +1,9 @@
 """The shared status vocabulary for every decision procedure.
 
-:class:`Status` replaces the stringly-typed constants that used to live
-on :class:`~repro.core.result.DecisionResult`.  It subclasses :class:`str`
-so every existing comparison (``result.status == "VALID"``, dict keys,
-``"%s" % status``, JSON serialization) keeps working unchanged.
+:class:`Status` is the ``status`` of every
+:class:`~repro.core.result.SolveOutcome`.  It subclasses :class:`str`
+so plain-string comparisons (``outcome.status == "VALID"``), dict keys,
+``"%s" % status`` and JSON serialization all work unchanged.
 """
 
 from __future__ import annotations

@@ -11,9 +11,8 @@ before handing a huge formula to a bounded oracle.
 from __future__ import annotations
 
 import abc
-import time
 from dataclasses import dataclass
-from typing import Any, Callable, Optional
+from typing import Any, Optional
 
 from ..logic.terms import Formula
 from .contract import SolveRequest, SolveOutcome
@@ -71,17 +70,6 @@ class Engine(abc.ABC):
         return self.solve(
             SolveRequest(formula=formula, time_limit=time_limit, **kwargs)
         )
-
-    def _timed(
-        self,
-        request: SolveRequest,
-        runner: Callable[[SolveRequest], SolveOutcome],
-    ) -> SolveOutcome:
-        """Run ``runner(request)`` and stamp the outcome's wall time."""
-        start = time.perf_counter()
-        outcome = runner(request)
-        outcome.wall_seconds = time.perf_counter() - start
-        return outcome
 
     def __repr__(self) -> str:
         return "<Engine %s: %s>" % (self.name, self.capabilities.description)

@@ -2,23 +2,20 @@
 
 One :class:`SolveRequest` in, one :class:`SolveOutcome` out — regardless
 of whether the engine is the eager pipeline, a baseline, the brute-force
-oracle, or the parallel portfolio.  The outcome subsumes the historical
-per-procedure result types (:class:`~repro.core.result.DecisionResult`,
-the fuzz oracle's ``MethodOutcome``, ``LazyStats``/``SvcStats``): it
-carries the status, the countermodel, the full statistics object (which
-may be a subclass with procedure-specific counters), and the uniform
-per-stage telemetry.
+oracle, or the parallel portfolio.  :class:`SolveOutcome` lives in
+:mod:`repro.core.result`, next to the :class:`StageRecord` telemetry it
+carries, so the solvers that build it need not import the engine layer.
+It is the only result type: the status, the countermodel, the wall time
+and the per-stage records, from which every time and size is derived.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Any, Dict, List, Optional
+from typing import Any, Dict, Optional
 
-from ..core.result import DecisionResult, DecisionStats, StageRecord
-from ..core.status import Status
+from ..core.result import SolveOutcome
 from ..encodings.hybrid import DEFAULT_SEP_THOLD
-from ..logic.semantics import Interpretation
 from ..logic.terms import Formula
 
 __all__ = ["SolveRequest", "SolveOutcome"]
@@ -58,69 +55,4 @@ class SolveRequest:
             sd_ranges=self.sd_ranges,
             preprocess=self.preprocess,
             options=dict(self.options),
-        )
-
-
-@dataclass
-class SolveOutcome:
-    """What every engine returns.
-
-    ``engine`` is the registry name that produced the outcome; for the
-    portfolio it is ``"portfolio"`` and ``winner`` names the member whose
-    verdict was adopted.  ``stats`` may be a :class:`DecisionStats`
-    subclass carrying procedure-specific counters; ``stats.stages`` holds
-    the uniform per-stage telemetry.
-    """
-
-    engine: str
-    status: Status
-    stats: DecisionStats = field(default_factory=DecisionStats)
-    counterexample: Optional[Interpretation] = None
-    detail: str = ""
-    wall_seconds: float = 0.0
-    winner: Optional[str] = None
-
-    @property
-    def valid(self) -> Optional[bool]:
-        """True / False when decided, ``None`` otherwise."""
-        if self.status == Status.VALID:
-            return True
-        if self.status == Status.INVALID:
-            return False
-        return None
-
-    @property
-    def decided(self) -> bool:
-        return self.valid is not None
-
-    @property
-    def stages(self) -> List[StageRecord]:
-        return self.stats.stages
-
-    def to_decision_result(self) -> DecisionResult:
-        """Downcast to the historical result type (drops engine/winner)."""
-        status = self.status
-        if status is Status.ERROR:
-            status = Status.UNKNOWN
-        return DecisionResult(
-            status=status,
-            stats=self.stats,
-            counterexample=self.counterexample,
-            detail=self.detail,
-        )
-
-    @classmethod
-    def from_decision_result(
-        cls,
-        engine: str,
-        result: DecisionResult,
-        wall_seconds: float = 0.0,
-    ) -> "SolveOutcome":
-        return cls(
-            engine=engine,
-            status=Status(result.status),
-            stats=result.stats,
-            counterexample=result.counterexample,
-            detail=result.detail,
-            wall_seconds=wall_seconds,
         )

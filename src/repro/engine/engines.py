@@ -2,14 +2,15 @@
 
 Four eager encodings (``sd`` / ``eij`` / ``hybrid`` / ``static``) run the
 staged pipeline in :mod:`repro.engine.stages`; the lazy (CVC-style) and
-SVC-style baselines and the brute-force oracle are wrapped so their
-procedure-specific statistics flow through unchanged while gaining the
-same stage-telemetry shape.
+SVC-style baselines record their own stages while they run, and the
+brute-force oracle records one ``enumerate`` stage.
 """
 
 from __future__ import annotations
 
-from ..core.result import StageRecord
+import time
+
+from ..core.result import DecisionStats, StageClock
 from ..core.status import Status
 from ..solvers.brute import BruteForceLimitExceeded, brute_force_valid
 from ..solvers.lazy import check_validity_lazy
@@ -64,40 +65,13 @@ class LazyEngine(Engine):
     )
 
     def solve(self, request: SolveRequest) -> SolveOutcome:
-        def run(req: SolveRequest) -> SolveOutcome:
-            result = check_validity_lazy(
-                req.formula,
-                max_iterations=req.options.get("max_iterations"),
-                time_limit=req.time_limit,
-                want_countermodel=req.want_countermodel,
-                incremental=req.options.get("incremental", True),
-            )
-            outcome = SolveOutcome.from_decision_result(self.name, result)
-            stats = result.stats
-            stats.stages = [
-                StageRecord(
-                    "encode",
-                    stats.encode_seconds,
-                    {
-                        "dag_suf": stats.dag_size_suf,
-                        "dag_sep": stats.dag_size_sep,
-                        "vars": stats.cnf_vars,
-                        "clauses": stats.cnf_clauses,
-                    },
-                ),
-                StageRecord(
-                    "refine",
-                    stats.sat_seconds,
-                    {
-                        "iterations": stats.iterations,
-                        "theory_checks": stats.theory_checks,
-                        "conflict_clauses": stats.conflict_clauses_added,
-                    },
-                ),
-            ]
-            return outcome
-
-        return self._timed(request, run)
+        return check_validity_lazy(
+            request.formula,
+            max_iterations=request.options.get("max_iterations"),
+            time_limit=request.time_limit,
+            want_countermodel=request.want_countermodel,
+            incremental=request.options.get("incremental", True),
+        )
 
 
 class SvcEngine(Engine):
@@ -112,37 +86,12 @@ class SvcEngine(Engine):
     )
 
     def solve(self, request: SolveRequest) -> SolveOutcome:
-        def run(req: SolveRequest) -> SolveOutcome:
-            result = check_validity_svc(
-                req.formula,
-                time_limit=req.time_limit,
-                max_splits=req.options.get("max_splits"),
-                want_countermodel=req.want_countermodel,
-            )
-            outcome = SolveOutcome.from_decision_result(self.name, result)
-            stats = result.stats
-            stats.stages = [
-                StageRecord(
-                    "flatten",
-                    stats.encode_seconds,
-                    {
-                        "dag_suf": stats.dag_size_suf,
-                        "dag_sep": stats.dag_size_sep,
-                    },
-                ),
-                StageRecord(
-                    "split",
-                    stats.sat_seconds,
-                    {
-                        "splits": stats.splits,
-                        "theory_checks": stats.theory_checks,
-                        "pruned": stats.pruned_branches,
-                    },
-                ),
-            ]
-            return outcome
-
-        return self._timed(request, run)
+        return check_validity_svc(
+            request.formula,
+            time_limit=request.time_limit,
+            max_splits=request.options.get("max_splits"),
+            want_countermodel=request.want_countermodel,
+        )
 
 
 class BruteEngine(Engine):
@@ -166,30 +115,23 @@ class BruteEngine(Engine):
     DEFAULT_LIMIT = 2_000_000
 
     def solve(self, request: SolveRequest) -> SolveOutcome:
-        def run(req: SolveRequest) -> SolveOutcome:
-            limit = req.options.get("limit", self.DEFAULT_LIMIT)
+        start = time.perf_counter()
+        limit = request.options.get("limit", self.DEFAULT_LIMIT)
+        clock = StageClock()
+        outcome = SolveOutcome(
+            engine=self.name,
+            status=Status.UNKNOWN,
+            stats=DecisionStats(method="BRUTE", stages=clock.records),
+        )
+        with clock.stage("enumerate") as rec:
+            rec.counters["limit"] = limit
             try:
-                valid = brute_force_valid(req.formula, limit=limit)
+                valid = brute_force_valid(request.formula, limit=limit)
             except BruteForceLimitExceeded as exc:
-                outcome = SolveOutcome(
-                    engine=self.name,
-                    status=Status.UNKNOWN,
-                    detail=str(exc),
-                )
+                outcome.detail = str(exc)
             else:
-                outcome = SolveOutcome(
-                    engine=self.name,
-                    status=Status.VALID if valid else Status.INVALID,
-                )
-            outcome.stats.method = "BRUTE"
-            outcome.stats.stages = [
-                StageRecord("enumerate", counters={"limit": limit})
-            ]
-            return outcome
-
-        outcome = self._timed(request, run)
-        outcome.stats.stages[0].seconds = outcome.wall_seconds
-        outcome.stats.sat_seconds = outcome.wall_seconds
+                outcome.status = Status.VALID if valid else Status.INVALID
+        outcome.wall_seconds = time.perf_counter() - start
         return outcome
 
 

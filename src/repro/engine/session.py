@@ -51,6 +51,7 @@ import time
 from dataclasses import dataclass, field
 from typing import TYPE_CHECKING, Dict, List, Optional, Sequence, Tuple
 
+from ..core.decision import boolvar_model, dimacs_literal
 from ..core.status import Status
 from ..encodings.sepvars import SepVarRegistry
 from ..logic.canonical import CanonicalForm, canonicalize, lift_interpretation
@@ -248,20 +249,7 @@ class _IncrementalBackend:
         self._solver.attach_from(self._cnf, self._fed_clauses)
         self._fed_clauses = len(self._cnf)
 
-    def _dimacs(self, literal: Formula) -> int:
-        if isinstance(literal, Not):
-            arg = literal.arg
-            return -self._cnf.var_for(arg)
-        return self._cnf.var_for(literal)
-
     # -- checking ------------------------------------------------------------
-
-    def _bool_model(self, model: Dict[int, bool]) -> Dict[BoolVar, bool]:
-        out: Dict[BoolVar, bool] = {}
-        for var, name in self._cnf.names.items():
-            if isinstance(name, BoolVar) and var in model:
-                out[name] = model[var]
-        return out
 
     def _build_model(
         self,
@@ -308,7 +296,7 @@ class _IncrementalBackend:
             if result.is_unsat:
                 return UNSAT, None, self._core_formulas(result.core)
             model = result.model or {}
-            bool_model = self._bool_model(model)
+            bool_model = boolvar_model(self._cnf, model)
             bounds = self._registry.asserted_bounds(bool_model)
             theory = check_bounds(bounds)
             if theory.consistent:
@@ -320,8 +308,9 @@ class _IncrementalBackend:
             # clause — a valid theory lemma, safe to retain forever.
             cycle = theory.cycle or []
             clause = [
-                -self._dimacs(
-                    self._registry.literal(bound.lhs, bound.rhs, bound.c)
+                -dimacs_literal(
+                    self._cnf,
+                    self._registry.literal(bound.lhs, bound.rhs, bound.c),
                 )
                 for bound in cycle
             ]

@@ -3,24 +3,33 @@
 ``func-elim → encode → cnf → preprocess → sat → decode`` is the paper's
 §2.1 flow plus a SatELite-style CNF simplification stage
 (:mod:`repro.sat.preprocess`); this module is the single implementation
-behind the ``sd`` / ``eij`` / ``hybrid`` / ``static`` engines *and* the
-historical :func:`repro.core.decision.check_validity` entry point.
-Every stage appends a :class:`~repro.core.result.StageRecord` (wall
-seconds plus counters) so telemetry has the same shape for every engine.
-The preprocess stage is skipped when ``SolveRequest.preprocess`` is
-false (``repro check --no-preprocess``); when it runs, eliminated
-variables are re-derived through the model-reconstruction stack before
-countermodel decode.
+behind the ``sd`` / ``eij`` / ``hybrid`` / ``static`` engines *and*
+:func:`repro.core.decision.check_validity`.  Every stage appends a
+:class:`~repro.core.result.StageRecord` (wall seconds plus counters)
+through a :class:`~repro.core.result.StageClock`; those records are the
+only place the solve's times and sizes are written.  The preprocess
+stage is skipped when ``SolveRequest.preprocess`` is false (``repro
+check --no-preprocess``); when it runs, eliminated variables are
+re-derived through the model-reconstruction stack before countermodel
+decode.
 """
 
 from __future__ import annotations
 
 import time
-from contextlib import contextmanager
-from typing import Any, Callable, Dict, Iterator, List, Optional
+from typing import Any, Callable, List, Optional
 
-from ..core.decision import decode_countermodel, lift_countermodel
-from ..core.result import DecisionStats, StageRecord
+from ..core.decision import (
+    boolvar_model,
+    decode_countermodel,
+    lift_countermodel,
+)
+from ..core.result import (
+    DecisionStats,
+    SolveOutcome,
+    StageClock,
+    StageRecord,
+)
 from ..core.status import Status
 from ..encodings.hybrid import (
     encode_eij,
@@ -30,15 +39,14 @@ from ..encodings.hybrid import (
 )
 from ..encodings.transitivity import TransitivityBudgetExceeded
 from ..logic.semantics import evaluate
-from ..logic.terms import BoolVar
 from ..logic.traversal import dag_size
 from ..sat.preprocess import preprocess_cnf
 from ..sat.solver import CdclSolver, SatStats
 from ..sat.tseitin import to_cnf
 from ..transform.func_elim import eliminate_applications
-from .contract import SolveOutcome, SolveRequest
+from .contract import SolveRequest
 
-__all__ = ["StageClock", "run_eager", "boolvar_model", "SatRunner"]
+__all__ = ["run_eager", "SatRunner"]
 
 #: Replacement SAT search for :func:`run_eager`: called with the solver's
 #: CNF, the request, the live ``sat`` :class:`StageRecord`, and the CNF
@@ -49,41 +57,6 @@ __all__ = ["StageClock", "run_eager", "boolvar_model", "SatRunner"]
 #: the SAT stage — encoding, preprocessing, model reconstruction,
 #: countermodel decode — is shared with the sequential engines.
 SatRunner = Callable[[Any, SolveRequest, StageRecord, List[int]], Any]
-
-
-class StageClock:
-    """Collects :class:`StageRecord` entries with wall-clock timing.
-
-    Use as ``with clock.stage("encode") as rec: ...``; counters added to
-    ``rec.counters`` inside the block are kept, the elapsed time is
-    stamped on exit (also on exceptions, so failed stages still report
-    how long they ran).
-    """
-
-    def __init__(self) -> None:
-        self.records: List[StageRecord] = []
-
-    @contextmanager
-    def stage(self, name: str) -> Iterator[StageRecord]:
-        record = StageRecord(name=name)
-        self.records.append(record)
-        start = time.perf_counter()
-        try:
-            yield record
-        finally:
-            record.seconds = time.perf_counter() - start
-
-    def seconds(self, *names: str) -> float:
-        return sum(r.seconds for r in self.records if r.name in names)
-
-
-def boolvar_model(cnf: Any, model: Dict[int, bool]) -> Dict[BoolVar, bool]:
-    """Restrict a DIMACS model to the named Boolean variables."""
-    out: Dict[BoolVar, bool] = {}
-    for var, name in cnf.names.items():
-        if isinstance(name, BoolVar) and var in model:
-            out[name] = model[var]
-    return out
 
 
 _ENCODERS = {
@@ -105,9 +78,11 @@ def run_eager(
 ) -> SolveOutcome:
     """Run the eager pipeline end to end with per-stage telemetry.
 
-    The returned outcome's ``stats`` keeps the historical field split
-    (``encode_seconds`` covers func-elim + encode + CNF, ``sat_seconds``
-    the SAT search) on top of the finer-grained ``stats.stages``.
+    The returned outcome's ``stats.stages`` holds one record per stage
+    that ran; ``stats.encode_seconds`` / ``stats.sat_seconds`` are
+    derived from them (func-elim + encode + CNF + preprocess, and the
+    SAT search) and ``wall_seconds`` covers the whole run, decode
+    included.
     """
     if method not in _ENCODERS:
         raise ValueError(
@@ -123,10 +98,6 @@ def run_eager(
         counterexample: Optional[Any] = None,
         detail: str = "",
     ) -> SolveOutcome:
-        stats.encode_seconds = clock.seconds(
-            "func-elim", "encode", "cnf", "preprocess"
-        )
-        stats.sat_seconds = clock.seconds("sat")
         return SolveOutcome(
             engine=method,
             status=status,
@@ -137,11 +108,9 @@ def run_eager(
         )
 
     with clock.stage("func-elim") as rec:
-        stats.dag_size_suf = dag_size(request.formula)
+        rec.counters["dag_suf"] = dag_size(request.formula)
         f_sep, elim_info = eliminate_applications(request.formula)
-        stats.dag_size_sep = dag_size(f_sep)
-        rec.counters["dag_suf"] = stats.dag_size_suf
-        rec.counters["dag_sep"] = stats.dag_size_sep
+        rec.counters["dag_sep"] = dag_size(f_sep)
         rec.counters["fresh_consts"] = len(elim_info.fresh_func_vars()) + len(
             elim_info.fresh_pred_vars()
         )
@@ -154,14 +123,12 @@ def run_eager(
             rec.counters["eij_classes"] = encoding.stats.eij_classes
             rec.counters["sep_vars"] = encoding.stats.sep_vars
             rec.counters["trans_clauses"] = encoding.stats.trans_clauses
+            rec.counters["sep_count"] = encoding.stats.total_sep_count
     except TransitivityBudgetExceeded as exc:
         return outcome(Status.TRANSLATION_LIMIT, detail=str(exc))
-    stats.encoding = encoding.stats
 
     with clock.stage("cnf") as rec:
         cnf = to_cnf(encoding.check_formula, mode="pg")
-        stats.cnf_vars = cnf.num_vars
-        stats.cnf_clauses = len(cnf)
         rec.counters["vars"] = cnf.num_vars
         rec.counters["clauses"] = len(cnf)
         # Surface the EIJ→CNF-var map: these are the separation
@@ -175,7 +142,6 @@ def run_eager(
     if request.preprocess:
         with clock.stage("preprocess") as rec:
             pre = preprocess_cnf(cnf)
-            stats.preprocess = pre.stats
             solver_cnf = pre.simplified
             rec.counters["clauses_before"] = pre.stats.clauses_before
             rec.counters["clauses_after"] = pre.stats.clauses_after

@@ -146,7 +146,7 @@ def run_benchmark(
         total_seconds=elapsed,
         encode_seconds=stats.encode_seconds,
         sat_seconds=stats.sat_seconds,
-        cnf_clauses=stats.cnf_clauses,
+        cnf_clauses=stats.counter("cnf", "clauses"),
         conflict_clauses=stats.conflict_clauses,
         sep_predicates=stats.sep_predicates,
         dag_size=bench.dag_size,

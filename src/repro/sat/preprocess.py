@@ -65,8 +65,7 @@ DEFAULT_MAX_ROUNDS = 3
 class PreprocessStats:
     """Size deltas and per-rule counters for one preprocessing run.
 
-    Attached to :class:`~repro.core.result.DecisionStats` (field
-    ``preprocess``) and mirrored into the ``preprocess`` stage's
+    The eager pipeline copies these into the ``preprocess`` stage's
     :class:`~repro.core.result.StageRecord` counters.
     """
 

@@ -8,8 +8,8 @@ from .brute import (
     brute_force_valid_sep,
     sep_domain_bound,
 )
-from .lazy import LazyStats, check_validity_lazy
-from .svclike import SvcStats, check_validity_svc
+from .lazy import check_validity_lazy
+from .svclike import check_validity_svc
 
 __all__ = [
     "BruteForceLimitExceeded",
@@ -17,8 +17,6 @@ __all__ = [
     "brute_force_valid",
     "brute_force_valid_sep",
     "sep_domain_bound",
-    "LazyStats",
     "check_validity_lazy",
-    "SvcStats",
     "check_validity_svc",
 ]

@@ -29,31 +29,26 @@ Faithful-to-the-original choices:
 from __future__ import annotations
 
 import time
-from dataclasses import dataclass, field
-from typing import Dict, List, Optional
+from typing import List, Optional
 
-from ..core.decision import decode_countermodel, lift_countermodel
-from ..core.result import DecisionResult, DecisionStats
+from ..core.decision import (
+    boolvar_model,
+    decode_countermodel,
+    dimacs_literal,
+    lift_countermodel,
+)
+from ..core.result import DecisionStats, SolveOutcome, StageClock
+from ..core.status import Status
 from ..encodings.hybrid import encode_eij
-from ..logic.terms import BoolVar, Formula
+from ..logic.terms import Formula
 from ..logic.traversal import dag_size
-from ..sat.cnf import Cnf
 from ..sat.solver import CdclSolver
 from ..sat.tseitin import to_cnf
 from ..separation.analysis import analyze_separation
 from ..theory.difference import check_bounds
 from ..transform.func_elim import eliminate_applications
 
-__all__ = ["LazyStats", "check_validity_lazy"]
-
-
-@dataclass
-class LazyStats(DecisionStats):
-    """Adds refinement-loop counters to the common statistics."""
-
-    iterations: int = 0
-    conflict_clauses_added: int = 0
-    theory_checks: int = 0
+__all__ = ["check_validity_lazy"]
 
 
 def check_validity_lazy(
@@ -62,7 +57,7 @@ def check_validity_lazy(
     time_limit: Optional[float] = None,
     want_countermodel: bool = True,
     incremental: bool = True,
-) -> DecisionResult:
+) -> SolveOutcome:
     """Decide SUF validity with the lazy (CVC-style) procedure.
 
     ``incremental=True`` keeps one SAT solver alive across refinement
@@ -71,97 +66,97 @@ def check_validity_lazy(
     the SAT search from scratch every round, which isolates the
     per-iteration overhead the paper measures (see the lazy-vs-eager
     ablation benchmark).
-    """
-    stats = LazyStats(method="LAZY")
-    stats.dag_size_suf = dag_size(formula)
-    start = time.perf_counter()
 
-    f_sep, elim_info = eliminate_applications(formula)
-    stats.dag_size_sep = dag_size(f_sep)
-    analysis = analyze_separation(f_sep, positive_equality=False)
-    encoding = encode_eij(f_sep, analysis=analysis, transitivity=False)
+    Stages: ``func-elim``, ``encode`` and ``cnf``, then ``refine`` with
+    the loop's ``iterations``, ``theory_checks`` and ``conflict_clauses``
+    counters.
+    """
+    start = time.perf_counter()
+    clock = StageClock()
+    stats = DecisionStats(method="LAZY", stages=clock.records)
+
+    with clock.stage("func-elim") as rec:
+        rec.counters["dag_suf"] = dag_size(formula)
+        f_sep, elim_info = eliminate_applications(formula)
+        rec.counters["dag_sep"] = dag_size(f_sep)
+
+    with clock.stage("encode") as rec:
+        analysis = analyze_separation(f_sep, positive_equality=False)
+        encoding = encode_eij(f_sep, analysis=analysis, transitivity=False)
+        rec.counters["sep_vars"] = encoding.stats.sep_vars
+        rec.counters["trans_clauses"] = encoding.stats.trans_clauses
+        rec.counters["sep_count"] = encoding.stats.total_sep_count
     registry = encoding.registry
 
-    cnf = to_cnf(encoding.check_formula)
-    stats.encode_seconds = time.perf_counter() - start
-    stats.cnf_vars = cnf.num_vars
-    stats.cnf_clauses = len(cnf)
-    stats.encoding = encoding.stats
+    with clock.stage("cnf") as rec:
+        cnf = to_cnf(encoding.check_formula)
+        rec.counters["vars"] = cnf.num_vars
+        rec.counters["clauses"] = len(cnf)
 
-    sat_start = time.perf_counter()
+    status = Status.UNKNOWN
     solver: Optional[CdclSolver] = None
-    while True:
-        if (
-            time_limit is not None
-            and time.perf_counter() - start > time_limit
-        ):
-            stats.sat_seconds = time.perf_counter() - sat_start
-            return DecisionResult(status=DecisionResult.UNKNOWN, stats=stats)
-        if max_iterations is not None and stats.iterations >= max_iterations:
-            stats.sat_seconds = time.perf_counter() - sat_start
-            return DecisionResult(status=DecisionResult.UNKNOWN, stats=stats)
+    with clock.stage("refine") as rec:
+        counters = rec.counters
+        counters.update(iterations=0, theory_checks=0, conflict_clauses=0)
+        while True:
+            if (
+                time_limit is not None
+                and time.perf_counter() - start > time_limit
+            ):
+                break
+            if (
+                max_iterations is not None
+                and counters["iterations"] >= max_iterations
+            ):
+                break
 
-        stats.iterations += 1
-        remaining = None
-        if time_limit is not None:
-            remaining = max(0.01, time_limit - (time.perf_counter() - start))
-        if incremental and solver is not None:
-            solver.time_limit = remaining
-        else:
-            solver = CdclSolver(cnf, time_limit=remaining)
-        result = solver.solve()
-        stats.sat = result.stats  # keep the last round's search stats
-
-        if result.status == "UNKNOWN":
-            stats.sat_seconds = time.perf_counter() - sat_start
-            return DecisionResult(status=DecisionResult.UNKNOWN, stats=stats)
-        if result.is_unsat:
-            stats.sat_seconds = time.perf_counter() - sat_start
-            return DecisionResult(status=DecisionResult.VALID, stats=stats)
-
-        boolvar_model = _boolvar_model(cnf, result.model)
-        bounds = registry.asserted_bounds(boolvar_model)
-        stats.theory_checks += 1
-        theory = check_bounds(bounds)
-
-        if theory.consistent:
-            stats.sat_seconds = time.perf_counter() - sat_start
-            counterexample = None
-            if want_countermodel:
-                sep_model = decode_countermodel(encoding, boolvar_model)
-                counterexample = lift_countermodel(
-                    elim_info, f_sep, sep_model
+            counters["iterations"] += 1
+            remaining = None
+            if time_limit is not None:
+                remaining = max(
+                    0.01, time_limit - (time.perf_counter() - start)
                 )
-            return DecisionResult(
-                status=DecisionResult.INVALID,
-                stats=stats,
-                counterexample=counterexample,
-            )
+            if incremental and solver is not None:
+                solver.time_limit = remaining
+            else:
+                solver = CdclSolver(cnf, time_limit=remaining)
+            result = solver.solve()
+            stats.sat = result.stats  # keep the last round's search stats
 
-        # Refine: block the negative cycle.  Each cycle bound was asserted
-        # by some registry literal; the blocking clause negates them all.
-        clause: List[int] = []
-        for bound in theory.cycle:
-            lit = registry.literal(bound.lhs, bound.rhs, bound.c)
-            clause.append(-_dimacs_literal(cnf, lit))
-        cnf.add_clause(clause)
-        if incremental:
-            solver.add_clause(clause)
-        stats.conflict_clauses_added += 1
+            if result.status == "UNKNOWN":
+                break
+            if result.is_unsat:
+                status = Status.VALID
+                break
 
+            model = boolvar_model(cnf, result.model)
+            bounds = registry.asserted_bounds(model)
+            counters["theory_checks"] += 1
+            theory = check_bounds(bounds)
+            if theory.consistent:
+                status = Status.INVALID
+                break
 
-def _boolvar_model(cnf: Cnf, model: Dict[int, bool]) -> Dict[BoolVar, bool]:
-    out: Dict[BoolVar, bool] = {}
-    for var, name in cnf.names.items():
-        if isinstance(name, BoolVar) and var in model:
-            out[name] = model[var]
-    return out
+            # Refine: block the negative cycle.  Each cycle bound was
+            # asserted by some registry literal; the blocking clause
+            # negates them all.
+            clause: List[int] = []
+            for bound in theory.cycle:
+                lit = registry.literal(bound.lhs, bound.rhs, bound.c)
+                clause.append(-dimacs_literal(cnf, lit))
+            cnf.add_clause(clause)
+            if incremental:
+                solver.add_clause(clause)
+            counters["conflict_clauses"] += 1
 
-
-def _dimacs_literal(cnf: Cnf, literal) -> int:
-    """Map a registry literal (BoolVar or its negation) to a DIMACS lit."""
-    from ..logic.terms import Not
-
-    if isinstance(literal, Not):
-        return -cnf.var_for(literal.arg)
-    return cnf.var_for(literal)
+    counterexample = None
+    if status is Status.INVALID and want_countermodel:
+        sep_model = decode_countermodel(encoding, model)
+        counterexample = lift_countermodel(elim_info, f_sep, sep_model)
+    return SolveOutcome(
+        engine="lazy",
+        status=status,
+        stats=stats,
+        counterexample=counterexample,
+        wall_seconds=time.perf_counter() - start,
+    )

@@ -31,11 +31,11 @@ removed by the shared elimination pass.
 from __future__ import annotations
 
 import time
-from dataclasses import dataclass
 from typing import Dict, List, Optional, Tuple
 
 from ..core.decision import lift_countermodel
-from ..core.result import DecisionResult, DecisionStats
+from ..core.result import DecisionStats, SolveOutcome, StageClock
+from ..core.status import Status
 from ..encodings.sepvars import Bound
 from ..logic.terms import (
     And,
@@ -57,14 +57,7 @@ from ..theory.difference import check_bounds
 from ..transform.func_elim import eliminate_applications
 from ..transform.ground import enumerate_leaf_paths, split_ground
 
-__all__ = ["SvcStats", "check_validity_svc"]
-
-
-@dataclass
-class SvcStats(DecisionStats):
-    splits: int = 0
-    theory_checks: int = 0
-    pruned_branches: int = 0
+__all__ = ["check_validity_svc"]
 
 
 class _Limits:
@@ -184,35 +177,46 @@ def check_validity_svc(
     time_limit: Optional[float] = None,
     max_splits: Optional[int] = None,
     want_countermodel: bool = True,
-) -> DecisionResult:
-    """Decide SUF validity with recursive case splitting (SVC-style)."""
-    stats = SvcStats(method="SVC")
-    stats.dag_size_suf = dag_size(formula)
-    start = time.perf_counter()
+) -> SolveOutcome:
+    """Decide SUF validity with recursive case splitting (SVC-style).
 
-    f_sep, elim_info = eliminate_applications(formula)
-    stats.dag_size_sep = dag_size(f_sep)
-    flat = _flatten_ites(f_sep)
-    stats.encode_seconds = time.perf_counter() - start
+    Stages: ``func-elim`` and ``flatten``, then ``split`` with the
+    search's ``splits``, ``theory_checks`` and ``pruned`` counters.
+    """
+    start = time.perf_counter()
+    clock = StageClock()
+    stats = DecisionStats(method="SVC", stages=clock.records)
+
+    with clock.stage("func-elim") as rec:
+        rec.counters["dag_suf"] = dag_size(formula)
+        f_sep, elim_info = eliminate_applications(formula)
+        rec.counters["dag_sep"] = dag_size(f_sep)
+
+    with clock.stage("flatten"):
+        flat = _flatten_ites(f_sep)
 
     limits = _Limits(time_limit, max_splits, start)
-    t1 = time.perf_counter()
-    found = _search(flat, {}, [], stats, limits)
-    stats.sat_seconds = time.perf_counter() - t1
+    with clock.stage("split") as rec:
+        rec.counters.update(splits=0, theory_checks=0, pruned=0)
+        found = _search(flat, {}, [], rec.counters, limits)
 
-    if limits.exhausted:
-        return DecisionResult(status=DecisionResult.UNKNOWN, stats=stats)
-    if found is None:
-        return DecisionResult(status=DecisionResult.VALID, stats=stats)
-    assignment, bounds = found
     counterexample = None
-    if want_countermodel:
-        sep_model = _build_countermodel(f_sep, assignment, bounds)
-        counterexample = lift_countermodel(elim_info, f_sep, sep_model)
-    return DecisionResult(
-        status=DecisionResult.INVALID,
+    if limits.exhausted:
+        status = Status.UNKNOWN
+    elif found is None:
+        status = Status.VALID
+    else:
+        status = Status.INVALID
+        if want_countermodel:
+            assignment, bounds = found
+            sep_model = _build_countermodel(f_sep, assignment, bounds)
+            counterexample = lift_countermodel(elim_info, f_sep, sep_model)
+    return SolveOutcome(
+        engine="svc",
+        status=status,
         stats=stats,
         counterexample=counterexample,
+        wall_seconds=time.perf_counter() - start,
     )
 
 
@@ -220,18 +224,21 @@ def _search(
     formula: Formula,
     assignment: Dict[Formula, bool],
     bounds: List[Bound],
-    stats: SvcStats,
+    counters: Dict[str, int],
     limits: _Limits,
 ) -> Optional[Tuple[Dict[Formula, bool], List[Bound]]]:
     """Find an assignment falsifying ``formula`` with a consistent theory
-    context; ``None`` when every branch is pruned or evaluates true."""
+    context; ``None`` when every branch is pruned or evaluates true.
+    ``counters`` is the ``split`` stage's (splits, theory checks and
+    pruned branches)."""
     if limits.exhausted:
         return None
     if (
         limits.time_limit is not None
         and time.perf_counter() - limits.start > limits.time_limit
     ) or (
-        limits.max_splits is not None and stats.splits > limits.max_splits
+        limits.max_splits is not None
+        and counters["splits"] > limits.max_splits
     ):
         limits.exhausted = True
         return None
@@ -247,7 +254,7 @@ def _search(
         raise AssertionError("non-constant formula with no atoms")
 
     for value in (False, True):
-        stats.splits += 1
+        counters["splits"] += 1
         assignment[atom] = value
         if isinstance(atom, BoolVar):
             alternatives: List[List[Bound]] = [[]]
@@ -255,11 +262,11 @@ def _search(
             alternatives = _atom_bounds(atom, value)
         for extra in alternatives:
             candidate = bounds + extra
-            stats.theory_checks += 1
+            counters["theory_checks"] += 1
             if not check_bounds(candidate).consistent:
-                stats.pruned_branches += 1
+                counters["pruned"] += 1
                 continue
-            result = _search(formula, assignment, candidate, stats, limits)
+            result = _search(formula, assignment, candidate, counters, limits)
             if result is not None:
                 del assignment[atom]
                 return result

@@ -136,3 +136,20 @@ class TestBenchViaRegistry:
         )
         assert code == 0
         assert "VALID" in out
+
+
+class TestReportedTime:
+    def test_portfolio_total_covers_the_race(self):
+        code, out = run_cli(
+            ["check", "-", "--method", "portfolio", "--stats"],
+            stdin_text="(= x x)",
+        )
+        assert code == 0
+        lines = out.splitlines()
+        total = float(
+            next(l for l in lines if l.startswith("time: ")).split()[1][:-1]
+        )
+        race = float(
+            next(l for l in lines if l.split()[:1] == ["race"]).split()[1][:-1]
+        )
+        assert total >= race

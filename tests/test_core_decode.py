@@ -3,6 +3,7 @@
 import pytest
 
 from repro.core.decision import (
+    boolvar_model,
     check_validity,
     decode_countermodel,
     lift_countermodel,
@@ -12,17 +13,8 @@ from repro.logic import builders as b
 from repro.logic.semantics import evaluate, evaluate_term
 from repro.sat.solver import solve_cnf
 from repro.sat.tseitin import to_cnf
-from repro.logic.terms import BoolVar
 from repro.logic.traversal import collect_vars
 from repro.transform.func_elim import eliminate_applications
-
-
-def boolvar_model(cnf, model):
-    return {
-        name: model[var]
-        for var, name in cnf.names.items()
-        if isinstance(name, BoolVar) and var in model
-    }
 
 
 class TestDecodeSd:

@@ -3,7 +3,7 @@
 import pytest
 
 from repro.core import check_validity
-from repro.core.result import DecisionResult
+from repro.core.status import Status
 from repro.logic import builders as b
 from repro.logic.semantics import evaluate
 
@@ -19,7 +19,7 @@ class TestKnownFormulas:
         result = check_validity(
             b.implies(b.eq(x, y), b.eq(f(x), f(y))), method=method
         )
-        assert result.status == DecisionResult.VALID
+        assert result.status == Status.VALID
         assert result.valid is True
 
     @pytest.mark.parametrize("method", METHODS)
@@ -53,7 +53,7 @@ class TestKnownFormulas:
         f = b.func("f")
         formula = b.implies(b.eq(f(x), f(y)), b.eq(x, y))
         result = check_validity(formula, method=method)
-        assert result.status == DecisionResult.INVALID
+        assert result.status == Status.INVALID
         model = result.counterexample
         assert model is not None
         assert not evaluate(formula, model)
@@ -101,7 +101,7 @@ class TestLimitsAndErrors:
                 parts.append(b.le(vs[i], b.offset(vs[j], i - j + 2)))
         formula = b.bnot(b.band(*parts))
         result = check_validity(formula, method="eij", trans_budget=5)
-        assert result.status == DecisionResult.TRANSLATION_LIMIT
+        assert result.status == Status.TRANSLATION_LIMIT
         assert result.valid is None
 
     def test_conflict_limit_reports_unknown(self):
@@ -114,8 +114,8 @@ class TestLimitsAndErrors:
             formula, method="sd", sat_conflict_limit=1
         )
         assert result.status in (
-            DecisionResult.UNKNOWN,
-            DecisionResult.INVALID,  # solved before the first conflict
+            Status.UNKNOWN,
+            Status.INVALID,  # solved before the first conflict
         )
 
     def test_stats_populated(self):
@@ -123,10 +123,10 @@ class TestLimitsAndErrors:
         result = check_validity(b.implies(b.lt(x, y), b.le(x, y)))
         stats = result.stats
         assert stats.method == "HYBRID"
-        assert stats.dag_size_suf > 0
-        assert stats.dag_size_sep > 0
-        assert stats.cnf_vars > 0
-        assert stats.cnf_clauses > 0
+        assert stats.counter("func-elim", "dag_suf") > 0
+        assert stats.counter("func-elim", "dag_sep") > 0
+        assert stats.counter("cnf", "vars") > 0
+        assert stats.counter("cnf", "clauses") > 0
         assert stats.total_seconds >= 0
         assert stats.sat is not None
 

@@ -3,7 +3,7 @@
 import pytest
 
 from repro.benchgen.suite import benchmark_by_name
-from repro.core.result import DecisionResult
+from repro.core.result import FRONT_END_STAGES, SEARCH_STAGES
 from repro.core.status import Status
 from repro.engine import registry
 from repro.engine.base import Engine, EngineCapabilities
@@ -12,7 +12,6 @@ from repro.logic.parser import parse_formula
 
 VALID_F = "(=> (and (< x y) (< y z)) (< x z))"
 INVALID_F = "(= x y)"
-UF_VALID_F = "(=> (= a b) (= (f a) (f b)))"
 
 ALL_ENGINES = ("hybrid", "static", "eij", "sd", "lazy", "svc", "brute")
 
@@ -23,10 +22,6 @@ class TestStatus:
         assert "%s" % Status.INVALID == "INVALID"
         assert "{}".format(Status.UNKNOWN) == "UNKNOWN"
         assert Status("VALID") is Status.VALID
-
-    def test_decision_result_constants_are_statuses(self):
-        assert DecisionResult.VALID is Status.VALID
-        assert DecisionResult.TRANSLATION_LIMIT is Status.TRANSLATION_LIMIT
 
     def test_as_valid(self):
         assert Status.VALID.as_valid is True
@@ -112,14 +107,6 @@ class TestEngineContract:
                 outcome.status,
             )
 
-    def test_to_decision_result_round_trip(self):
-        outcome = registry.get("hybrid").decide(parse_formula(INVALID_F))
-        result = outcome.to_decision_result()
-        assert isinstance(result, DecisionResult)
-        assert result.status == Status.INVALID
-        assert result.counterexample is outcome.counterexample
-        assert result.stats is outcome.stats
-
     def test_replace_formula_keeps_knobs(self):
         request = SolveRequest(
             formula=parse_formula(VALID_F),
@@ -159,24 +146,14 @@ class TestStageTelemetry:
         outcome = registry.get("hybrid").decide(parse_formula(INVALID_F))
         assert [s.name for s in outcome.stages][-1] == "decode"
 
-    def test_stage_seconds_match_legacy_split(self):
-        outcome = registry.get("sd").decide(parse_formula(UF_VALID_F))
-        by_name = {s.name: s for s in outcome.stages}
-        front = sum(
-            by_name[n].seconds
-            for n in ("func-elim", "encode", "cnf", "preprocess")
-            if n in by_name
-        )
-        assert outcome.stats.encode_seconds == pytest.approx(front)
-        assert outcome.stats.sat_seconds == pytest.approx(
-            by_name["sat"].seconds if "sat" in by_name else 0.0
-        )
-
     def test_eager_counters(self):
         outcome = registry.get("eij").decide(parse_formula(VALID_F))
         by_name = {s.name: s for s in outcome.stages}
         assert by_name["func-elim"].counters["dag_suf"] > 0
-        assert by_name["cnf"].counters["clauses"] == outcome.stats.cnf_clauses
+        assert by_name["cnf"].counters["clauses"] == outcome.stats.counter(
+            "cnf", "clauses"
+        )
+        assert by_name["encode"].counters["sep_count"] > 0
         assert "clauses_after" in by_name["preprocess"].counters
         if "sat" in by_name:
             assert "decisions" in by_name["sat"].counters
@@ -190,7 +167,7 @@ class TestStageTelemetry:
     def test_svc_stages(self):
         outcome = registry.get("svc").decide(parse_formula(VALID_F))
         names = [s.name for s in outcome.stages]
-        assert names == ["flatten", "split"]
+        assert names == ["func-elim", "flatten", "split"]
 
     def test_brute_stages(self):
         outcome = registry.get("brute").decide(parse_formula(VALID_F))
@@ -201,6 +178,8 @@ class TestStageTelemetry:
         from repro.core.decision import check_validity
 
         result = check_validity(parse_formula(VALID_F), method="hybrid")
+        assert isinstance(result, SolveOutcome)
+        assert result.engine == "hybrid"
         assert result.stats.stages
         assert result.stats.stages[0].name == "func-elim"
 
@@ -208,6 +187,41 @@ class TestStageTelemetry:
         outcome = registry.get("hybrid").decide(parse_formula(VALID_F))
         line = outcome.stages[0].describe()
         assert "func-elim" in line and "dag_suf=" in line
+
+
+class TestOneRecordPerSolve:
+    """Every registered engine writes its times and sizes only into
+    ``stats.stages``; the flat figures are derived from those records."""
+
+    SEARCH_COUNTERS = {
+        "refine": {"iterations", "theory_checks", "conflict_clauses"},
+        "split": {"splits", "theory_checks", "pruned"},
+    }
+
+    @pytest.mark.parametrize("valid", [True, False], ids=["valid", "invalid"])
+    @pytest.mark.parametrize("name", registry.list_engines())
+    def test_one_record(self, name, valid):
+        bench = benchmark_by_name("driver_s3_1", valid=valid)
+        outcome = registry.get(name).solve(
+            SolveRequest(formula=bench.formula, time_limit=30.0)
+        )
+        stats = outcome.stats
+        assert stats.stages, name
+        assert stats.encode_seconds == pytest.approx(
+            sum(r.seconds for r in stats.stages if r.name in FRONT_END_STAGES)
+        )
+        assert stats.sat_seconds == pytest.approx(
+            sum(r.seconds for r in stats.stages if r.name in SEARCH_STAGES)
+        )
+        assert outcome.wall_seconds >= stats.encode_seconds + stats.sat_seconds
+        names = [r.name for r in stats.stages]
+        if name == "lazy":
+            assert names == ["func-elim", "encode", "cnf", "refine"]
+        if name == "svc":
+            assert names == ["func-elim", "flatten", "split"]
+        for record in stats.stages:
+            expected = self.SEARCH_COUNTERS.get(record.name, set())
+            assert expected <= set(record.counters), (name, record)
 
 
 class TestEngineOptions:

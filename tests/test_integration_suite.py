@@ -84,9 +84,8 @@ class TestThresholdEndpoints:
         hybrid0 = decide(bench, "hybrid", sep_thold=0)
         sd = decide(bench, "sd")
         assert hybrid0.valid == sd.valid is True
-        assert (
-            hybrid0.stats.encoding.sd_classes
-            == sd.stats.encoding.sd_classes
+        assert hybrid0.stats.counter("encode", "sd_classes") == (
+            sd.stats.counter("encode", "sd_classes")
         )
 
     def test_threshold_infinity_matches_eij(self):
@@ -94,6 +93,6 @@ class TestThresholdEndpoints:
         hybrid_inf = decide(bench, "hybrid", sep_thold=10**9)
         eij = decide(bench, "eij")
         assert hybrid_inf.valid == eij.valid is True
-        assert hybrid_inf.stats.encoding.eij_classes == (
-            eij.stats.encoding.eij_classes
+        assert hybrid_inf.stats.counter("encode", "eij_classes") == (
+            eij.stats.counter("encode", "eij_classes")
         )

@@ -15,8 +15,8 @@ class TestVerdicts:
         assert result.valid is True
         # The Boolean abstraction alone cannot prove this: refinement
         # rounds must have happened.
-        assert result.stats.iterations >= 2
-        assert result.stats.conflict_clauses_added >= 1
+        assert result.stats.counter("refine", "iterations") >= 2
+        assert result.stats.counter("refine", "conflict_clauses") >= 1
 
     def test_invalid_with_countermodel(self):
         x, y = b.const("x"), b.const("y")
@@ -35,7 +35,7 @@ class TestVerdicts:
         p = b.bconst("P")
         result = check_validity_lazy(b.bor(p, b.bnot(p)))
         assert result.valid is True
-        assert result.stats.iterations == 1
+        assert result.stats.counter("refine", "iterations") == 1
 
     def test_integer_density(self):
         x, y = b.const("x"), b.const("y")
@@ -53,8 +53,9 @@ class TestRefinementBehaviour:
         ))
         result = check_validity_lazy(formula)
         assert result.valid is True
-        assert result.stats.theory_checks == result.stats.iterations - 1 \
-            or result.stats.theory_checks == result.stats.iterations
+        checks = result.stats.counter("refine", "theory_checks")
+        iterations = result.stats.counter("refine", "iterations")
+        assert checks == iterations - 1 or checks == iterations
 
     def test_iteration_limit(self):
         vs = [b.const("il%d" % i) for i in range(6)]
@@ -71,7 +72,7 @@ class TestRefinementBehaviour:
         formula = b.implies(b.band(b.lt(x, y), b.lt(y, z)), b.lt(x, z))
         result = check_validity_lazy(formula)
         # The lazy encoding carries no F_trans: trans_clauses stays 0.
-        assert result.stats.encoding.trans_clauses == 0
+        assert result.stats.counter("encode", "trans_clauses") == 0
 
     def test_equalities_handled(self):
         x, y, z = b.const("x"), b.const("y"), b.const("z")

@@ -1,52 +1,75 @@
 """Tests for the result/statistics types."""
 
-from repro.core.result import DecisionResult, DecisionStats
-from repro.encodings.hybrid import EncodingStats
-from repro.sat.solver import SatStats
+from repro.core.result import DecisionStats, SolveOutcome, StageRecord
+from repro.core.status import Status
 
 
 class TestDecisionStats:
     def test_total_seconds(self):
-        stats = DecisionStats(encode_seconds=1.5, sat_seconds=2.5)
+        stats = DecisionStats(
+            stages=[StageRecord("encode", 1.5), StageRecord("sat", 2.5)]
+        )
+        assert stats.encode_seconds == 1.5
+        assert stats.sat_seconds == 2.5
         assert stats.total_seconds == 4.0
+
+    def test_stages_outside_both_sets_count_in_neither(self):
+        stats = DecisionStats(
+            stages=[
+                StageRecord("func-elim", 1.0),
+                StageRecord("flatten", 2.0),
+                StageRecord("refine", 4.0),
+                StageRecord("decode", 8.0),
+                StageRecord("race", 16.0),
+                StageRecord("cache", 32.0),
+            ]
+        )
+        assert stats.encode_seconds == 3.0
+        assert stats.sat_seconds == 4.0
 
     def test_conflict_clauses_proxy(self):
         stats = DecisionStats()
         assert stats.conflict_clauses == 0
-        stats.sat = SatStats(learned_clauses=42)
+        stats.stages.append(StageRecord("sat", counters={"learned": 42}))
         assert stats.conflict_clauses == 42
 
     def test_sep_predicates_proxy(self):
         stats = DecisionStats()
         assert stats.sep_predicates == 0
-        stats.encoding = EncodingStats(total_sep_count=17)
+        stats.stages.append(StageRecord("encode", counters={"sep_count": 17}))
         assert stats.sep_predicates == 17
+
+    def test_counter_reads_the_named_stage(self):
+        stats = DecisionStats(
+            stages=[
+                StageRecord("cnf", counters={"vars": 3, "clauses": 7}),
+                StageRecord("preprocess", counters={"clauses_after": 2}),
+            ]
+        )
+        assert stats.counter("cnf", "clauses") == 7
+        assert stats.counter("cnf", "missing") == 0
+        assert stats.counter("sat", "clauses") == 0
 
     def test_normalized_seconds(self):
         stats = DecisionStats(
-            dag_size_suf=500, encode_seconds=1.0, sat_seconds=1.0
+            stages=[
+                StageRecord("func-elim", 1.0, {"dag_suf": 500}),
+                StageRecord("sat", 1.0),
+            ]
         )
         assert abs(stats.normalized_seconds() - 4.0) < 1e-9
 
     def test_normalized_handles_zero_size(self):
-        stats = DecisionStats(encode_seconds=1.0)
+        stats = DecisionStats(stages=[StageRecord("encode", 1.0)])
         assert stats.normalized_seconds() > 0
 
 
-class TestDecisionResult:
+class TestSolveOutcome:
     def test_valid_mapping(self):
-        assert DecisionResult(status=DecisionResult.VALID).valid is True
-        assert DecisionResult(status=DecisionResult.INVALID).valid is False
-        assert DecisionResult(status=DecisionResult.UNKNOWN).valid is None
-        assert (
-            DecisionResult(status=DecisionResult.TRANSLATION_LIMIT).valid
-            is None
-        )
+        def valid(status):
+            return SolveOutcome(engine="hybrid", status=status).valid
 
-    def test_repr_mentions_status(self):
-        result = DecisionResult(
-            status=DecisionResult.VALID,
-            stats=DecisionStats(method="HYBRID"),
-        )
-        text = repr(result)
-        assert "VALID" in text and "HYBRID" in text
+        assert valid(Status.VALID) is True
+        assert valid(Status.INVALID) is False
+        assert valid(Status.UNKNOWN) is None
+        assert valid(Status.TRANSLATION_LIMIT) is None

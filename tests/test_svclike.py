@@ -13,7 +13,7 @@ class TestVerdicts:
         formula = b.implies(b.band(b.lt(x, y), b.lt(y, z)), b.lt(x, z))
         result = check_validity_svc(formula)
         assert result.valid is True
-        assert result.stats.theory_checks > 0
+        assert result.stats.counter("split", "theory_checks") > 0
 
     def test_invalid_with_countermodel(self):
         x, y = b.const("x"), b.const("y")
@@ -59,7 +59,7 @@ class TestConjunctionVsDisjunction:
         # A conjunction (invalid as a formula: countermodel found fast).
         result = check_validity_svc(conj)
         assert result.valid is False
-        assert result.stats.splits <= 40
+        assert result.stats.counter("split", "splits") <= 40
 
     def test_disjunctive_formula_needs_many_splits(self):
         p = [b.bconst("dv%d" % i) for i in range(10)]
@@ -81,7 +81,9 @@ class TestConjunctionVsDisjunction:
         )
         assert conj_result.valid is True
         # The disjunctive formula required at least as many splits.
-        assert result.stats.splits >= conj_result.stats.splits
+        assert result.stats.counter("split", "splits") >= (
+            conj_result.stats.counter("split", "splits")
+        )
 
     def test_split_limit_returns_unknown(self):
         x = [b.const("sl%d" % i) for i in range(8)]
@@ -111,4 +113,4 @@ class TestPruning:
         # Antecedent is theory-inconsistent: branches get pruned.
         result = check_validity_svc(formula)
         assert result.valid is True
-        assert result.stats.pruned_branches > 0
+        assert result.stats.counter("split", "pruned") > 0
