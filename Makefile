@@ -86,10 +86,13 @@ fuzz:
 fuzz-smoke:
 	PYTHONPATH=$(PYTHONPATH) $(PYTHON) -m repro fuzz --iterations 200 --seed 0
 
-# Tier-1 tests + static analysis + fuzz smoke; what
-# .github/workflows/ci.yml runs (CI additionally installs and enforces
-# ruff + mypy).
-ci: lint typecheck test fuzz-smoke
+# Every step of .github/workflows/ci.yml that runs without extra
+# packages: static analysis (plus ruff and mypy when installed), tier-1
+# tests, fuzz smoke and compete smoke.  Three steps stay CI-only: the
+# coverage gate (needs pytest-cov), the SARIF log (an upload artifact),
+# and the perfbench-tests job (python3 -m pytest perfbench/tests, about
+# 3 minutes).
+ci: lint typecheck test fuzz-smoke compete-smoke
 
 clean:
 	rm -rf fuzz-failures .pytest_cache .hypothesis .compete-benchgen \

@@ -42,7 +42,8 @@ Subcommands
 
 All decision-procedure dispatch goes through
 :mod:`repro.engine.registry`; this module never imports a solver
-directly.
+directly.  A command whose input file cannot be read or parsed prints
+one ``error:`` line on stderr and exits 2.
 """
 
 from __future__ import annotations
@@ -50,7 +51,7 @@ from __future__ import annotations
 import argparse
 import os
 import sys
-from typing import List, Optional
+from typing import Callable, List, Optional, TypeVar
 
 from . import experiments
 from .benchgen.suite import benchmark_by_name, suite
@@ -63,6 +64,8 @@ from .logic.printer import pretty
 from .engine.cube import DEFAULT_DEPTH as _CUBE_DEFAULT_DEPTH
 
 __all__ = ["main", "build_parser"]
+
+_T = TypeVar("_T")
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -439,11 +442,28 @@ def build_parser() -> argparse.ArgumentParser:
     return parser
 
 
-def _read_text(path: str) -> str:
-    if path == "-":
-        return sys.stdin.read()
-    with open(path) as fp:
-        return fp.read()
+class _InputError(Exception):
+    """An input that could not be read or parsed; :func:`main` prints it
+    as ``error: <message>`` and exits 2."""
+
+
+def _read_input(path: str, parse: Callable[[str], _T]) -> _T:
+    """Read ``path`` (``-`` is stdin) and parse its text.
+
+    Every command reads its input here.  An unreadable file and the
+    readers' ``ValueError``s (``ParseError``, ``SmtLibError``, the
+    DIMACS reader's) become :class:`_InputError`; nothing raised while
+    solving passes through this function.
+    """
+    try:
+        if path == "-":
+            text = sys.stdin.read()
+        else:
+            with open(path) as fp:
+                text = fp.read()
+        return parse(text)
+    except (OSError, ValueError) as exc:
+        raise _InputError(str(exc)) from exc
 
 
 def _looks_like_smtlib(path: str, text: str, fmt: str = "auto") -> bool:
@@ -459,15 +479,18 @@ def _looks_like_smtlib(path: str, text: str, fmt: str = "auto") -> bool:
 
 def _read_formula(path: str, fmt: str = "auto"):
     """Parse a formula file; returns (formula, smtlib_mode)."""
-    text = _read_text(path)
-    if _looks_like_smtlib(path, text, fmt):
-        from .logic.smtlib import parse_smtlib
-        from .logic.terms import Not
 
-        script = parse_smtlib(text)
-        # SMT-LIB semantics: check-sat == invalidity of the negation.
-        return Not(script.conjunction()), True
-    return parse_formula(text), False
+    def parse(text: str):
+        if _looks_like_smtlib(path, text, fmt):
+            from .logic.smtlib import parse_smtlib
+            from .logic.terms import Not
+
+            script = parse_smtlib(text)
+            # SMT-LIB semantics: check-sat == invalidity of the negation.
+            return Not(script.conjunction()), True
+        return parse_formula(text), False
+
+    return _read_input(path, parse)
 
 
 def _parse_engine_list(text: Optional[str]) -> Optional[List[str]]:
@@ -492,14 +515,7 @@ def _print_stats(outcome: SolveOutcome) -> None:
 
 
 def _cmd_check(args) -> int:
-    from .logic.parser import ParseError
-    from .logic.smtlib import SmtLibError
-
-    try:
-        formula, smtlib_mode = _read_formula(args.file, args.format)
-    except (ParseError, SmtLibError) as exc:
-        print("error: %s" % exc, file=sys.stderr)
-        return 2
+    formula, smtlib_mode = _read_formula(args.file, args.format)
     engine = registry.get(args.method)
     options = {}
     if args.cube_depth is not None:
@@ -898,8 +914,7 @@ def _cmd_analyze_formula(args) -> int:
     from .separation.analysis import analyze_separation
     from .transform.func_elim import eliminate_applications
 
-    text = _read_text(args.paths[0])
-    formula = parse_formula(text)
+    formula = _read_input(args.paths[0], parse_formula)
     f_sep, info = eliminate_applications(formula)
     analysis = analyze_separation(f_sep)
     encoding = encode_hybrid(
@@ -939,14 +954,10 @@ def _cmd_analyze_formula(args) -> int:
 
 
 def _cmd_sat(args) -> int:
-    from .sat.dimacs import read_dimacs
+    from .sat.dimacs import loads
     from .sat.solver import solve_cnf
 
-    if args.file == "-":
-        cnf = read_dimacs(sys.stdin)
-    else:
-        with open(args.file) as fp:
-            cnf = read_dimacs(fp)
+    cnf = _read_input(args.file, loads)
     result = solve_cnf(cnf, time_limit=args.timeout)
     stats = result.stats
     print("s %s" % ("SATISFIABLE" if result.is_sat else
@@ -1048,7 +1059,11 @@ def main(argv: Optional[List[str]] = None) -> int:
         "sat": _cmd_sat,
         "fuzz": _cmd_fuzz,
     }
-    return handlers[args.command](args)
+    try:
+        return handlers[args.command](args)
+    except _InputError as exc:
+        print("error: %s" % exc, file=sys.stderr)
+        return 2
 
 
 if __name__ == "__main__":

@@ -3,8 +3,7 @@
 * :mod:`repro.engine.contract` — ``SolveRequest`` / ``SolveOutcome``,
   the uniform request/result types that subsume the historical
   per-procedure signatures;
-* :mod:`repro.engine.base` — the ``Engine`` protocol plus capability
-  metadata (countermodels, resource limits, completeness bounds);
+* :mod:`repro.engine.base` — the ``Engine`` protocol;
 * :mod:`repro.engine.stages` — the eager pipeline as individually timed
   stages (func-elim → encode → CNF → SAT → decode);
 * :mod:`repro.engine.registry` — name → engine resolution for every
@@ -25,7 +24,7 @@ Quickstart::
 """
 
 from . import registry
-from .base import Engine, EngineCapabilities
+from .base import Engine
 from .contract import SolveOutcome, SolveRequest
 from .portfolio import solve_batch, solve_portfolio
 from .session import CheckResult, Session, SessionError
@@ -34,7 +33,6 @@ from .stages import run_eager
 __all__ = [
     "registry",
     "Engine",
-    "EngineCapabilities",
     "SolveRequest",
     "SolveOutcome",
     "solve_portfolio",

@@ -1,60 +1,31 @@
-"""The :class:`Engine` abstraction and its capability metadata.
+"""The :class:`Engine` abstraction.
 
 An engine is one complete decision procedure behind the uniform
-``SolveRequest → SolveOutcome`` contract.  Capability metadata lets
-callers pick engines mechanically: the portfolio driver skips engines
-that cannot honour a countermodel request, the experiment runner knows
-which engines accept a wall-clock budget, and ``repro check`` can warn
-before handing a huge formula to a bounded oracle.
+``SolveRequest → SolveOutcome`` contract.  Callers pick engines by
+registry name (:mod:`repro.engine.registry`).
 """
 
 from __future__ import annotations
 
 import abc
-from dataclasses import dataclass
 from typing import Any, Optional
 
 from ..logic.terms import Formula
 from .contract import SolveRequest, SolveOutcome
 
-__all__ = ["EngineCapabilities", "Engine"]
-
-
-@dataclass(frozen=True)
-class EngineCapabilities:
-    """What an engine can and cannot do.
-
-    ``complete``
-        Decides every input given unbounded resources.
-    ``bounded``
-        May refuse inputs below any resource limit (the brute-force
-        oracle gives up as soon as its enumeration space exceeds its
-        budget, no matter how much time is available).
-    ``countermodels``
-        Can produce a falsifying interpretation for INVALID inputs.
-    ``time_limit`` / ``conflict_limit``
-        Honours the corresponding :class:`SolveRequest` knob.
-    """
-
-    description: str = ""
-    complete: bool = True
-    bounded: bool = False
-    countermodels: bool = True
-    time_limit: bool = True
-    conflict_limit: bool = False
+__all__ = ["Engine"]
 
 
 class Engine(abc.ABC):
     """One decision procedure behind the shared contract.
 
-    Subclasses set ``name`` (the registry key) and ``capabilities`` and
-    implement :meth:`solve`.  Engines must be stateless across calls —
-    the portfolio driver instantiates them once and reuses them from
-    worker processes.
+    Subclasses set ``name`` (the registry key) and implement
+    :meth:`solve`.  Engines must be stateless across calls — the
+    portfolio driver instantiates them once and reuses them from worker
+    processes.
     """
 
     name: str = ""
-    capabilities: EngineCapabilities = EngineCapabilities()
 
     @abc.abstractmethod
     def solve(self, request: SolveRequest) -> SolveOutcome:
@@ -72,4 +43,4 @@ class Engine(abc.ABC):
         )
 
     def __repr__(self) -> str:
-        return "<Engine %s: %s>" % (self.name, self.capabilities.description)
+        return "<Engine %s>" % self.name

@@ -23,12 +23,19 @@ __all__ = ["SolveRequest", "SolveOutcome"]
 
 @dataclass
 class SolveRequest:
-    """One validity query plus every knob an engine may honour.
+    """One validity query plus the settings its solve runs under.
 
-    Engines ignore knobs they have no use for (the brute-force oracle has
-    no ``sep_thold``); engine-specific extras travel in ``options`` (the
-    lazy engine's ``max_iterations``, SVC's ``max_splits``, brute's
-    enumeration ``limit``, the portfolio's ``engines`` subset).
+    Engines ignore fields they have no use for (the brute-force oracle
+    has no ``sep_thold``); engine-specific extras travel in ``options``
+    (the lazy engine's ``max_iterations``, SVC's ``max_splits``, brute's
+    enumeration ``limit``, cube's ``cube_depth``/``cube_procs``/
+    ``cube_share``, the cached engine's ``engine``/``cache_dir``).
+
+    This class is the only list of a request's fields: the portfolio's
+    process payload and the cache's rebase onto the canonical formula
+    are derived from it with :mod:`dataclasses`.  A new field needs no
+    other edit unless it scopes a verdict, in which case
+    :func:`repro.service.cache.config_fingerprint` must include it.
     """
 
     formula: Formula
@@ -43,16 +50,3 @@ class SolveRequest:
     #: is the escape hatch).
     preprocess: bool = True
     options: Dict[str, Any] = field(default_factory=dict)
-
-    def replace_formula(self, formula: Formula) -> "SolveRequest":
-        return SolveRequest(
-            formula=formula,
-            want_countermodel=self.want_countermodel,
-            time_limit=self.time_limit,
-            conflict_limit=self.conflict_limit,
-            sep_thold=self.sep_thold,
-            trans_budget=self.trans_budget,
-            sd_ranges=self.sd_ranges,
-            preprocess=self.preprocess,
-            options=dict(self.options),
-        )

@@ -41,7 +41,7 @@ from ..core.result import StageRecord
 from ..sat.cnf import Cnf
 from ..sat.cubes import CubeConfig, CubeSplitter, generate_cubes
 from ..sat.solver import CdclSolver, SatResult, SatStats
-from .base import Engine, EngineCapabilities
+from .base import Engine
 from .contract import SolveOutcome, SolveRequest
 from .portfolio import _mp_context
 from .stages import run_eager
@@ -216,7 +216,6 @@ def _conquer_parallel(
     procs: int,
     share: bool,
     splitter: CubeSplitter,
-    budget: int,
     request: SolveRequest,
     record: StageRecord,
 ) -> SatResult:
@@ -253,8 +252,8 @@ def _conquer_parallel(
     pending: Dict[int, Tuple[List[int], int]] = {}
     next_id = 0
     for cube in cubes:
-        pending[next_id] = (cube, budget)
-        task_q.put((next_id, cube, budget))
+        pending[next_id] = (cube, DEFAULT_BUDGET)
+        task_q.put((next_id, cube, DEFAULT_BUDGET))
         next_id += 1
 
     seen_clauses: Set[FrozenSet[int]] = set()
@@ -362,15 +361,13 @@ def conquer(
 
     Options read from ``request.options`` (all prefixed ``cube_``):
     ``cube_depth``, ``cube_procs`` (0 = one per core, capped at 4),
-    ``cube_share`` (default on), ``cube_seed``, ``cube_budget``.
+    ``cube_share`` (default on).
     """
     options = request.options
     depth = int(options.get("cube_depth", DEFAULT_DEPTH))
     procs = int(options.get("cube_procs", 0)) or _auto_procs()
     share = bool(options.get("cube_share", True))
-    seed = int(options.get("cube_seed", 0))
-    budget = int(options.get("cube_budget", DEFAULT_BUDGET))
-    config = CubeConfig(depth=depth, seed=seed, prefer_vars=sep_vars)
+    config = CubeConfig(depth=depth, prefer_vars=sep_vars)
 
     cube_set = generate_cubes(cnf, config)
     record.counters["cubes"] = len(cube_set.cubes)
@@ -402,7 +399,6 @@ def conquer(
         procs,
         share,
         splitter,
-        budget,
         request,
         record,
     )
@@ -419,17 +415,9 @@ class CubeEngine(Engine):
     """
 
     name = "cube"
-    capabilities = EngineCapabilities(
-        description="cube-and-conquer parallel SAT over the hybrid encoding",
-        complete=True,
-        countermodels=True,
-        time_limit=True,
-        conflict_limit=True,
-    )
 
     def solve(self, request: SolveRequest) -> SolveOutcome:
-        method = str(request.options.get("cube_method", "hybrid"))
-        outcome = run_eager(request, method=method, sat_runner=conquer)
+        outcome = run_eager(request, method="hybrid", sat_runner=conquer)
         outcome.engine = self.name
-        outcome.stats.method = "CUBE(%s)" % method.upper()
+        outcome.stats.method = "CUBE(HYBRID)"
         return outcome

@@ -15,7 +15,7 @@ from ..core.status import Status
 from ..solvers.brute import BruteForceLimitExceeded, brute_force_valid
 from ..solvers.lazy import check_validity_lazy
 from ..solvers.svclike import check_validity_svc
-from .base import Engine, EngineCapabilities
+from .base import Engine
 from .contract import SolveOutcome, SolveRequest
 from .stages import run_eager
 
@@ -27,13 +27,6 @@ __all__ = [
     "BUILTIN_ENGINES",
 ]
 
-_EAGER_DESCRIPTIONS = {
-    "sd": "eager small-domain (bit-vector) encoding",
-    "eij": "eager per-constraint (difference-bound) encoding",
-    "hybrid": "the paper's HYBRID encoding (SepCnt-thresholded SD/EIJ)",
-    "static": "hybrid with the static per-class heuristic",
-}
-
 
 class EagerEngine(Engine):
     """One eager encoding method run through the staged pipeline."""
@@ -41,13 +34,6 @@ class EagerEngine(Engine):
     def __init__(self, method: str) -> None:
         self.method = method
         self.name = method
-        self.capabilities = EngineCapabilities(
-            description=_EAGER_DESCRIPTIONS[method],
-            complete=True,
-            countermodels=True,
-            time_limit=True,
-            conflict_limit=True,
-        )
 
     def solve(self, request: SolveRequest) -> SolveOutcome:
         return run_eager(request, method=self.method)
@@ -57,12 +43,6 @@ class LazyEngine(Engine):
     """The CVC-style lazy abstraction-refinement baseline."""
 
     name = "lazy"
-    capabilities = EngineCapabilities(
-        description="lazy SAT + theory refinement (CVC baseline)",
-        complete=True,
-        countermodels=True,
-        time_limit=True,
-    )
 
     def solve(self, request: SolveRequest) -> SolveOutcome:
         return check_validity_lazy(
@@ -78,12 +58,6 @@ class SvcEngine(Engine):
     """The SVC-style structural case-splitting baseline."""
 
     name = "svc"
-    capabilities = EngineCapabilities(
-        description="structural case splitting over ground atoms (SVC)",
-        complete=True,
-        countermodels=True,
-        time_limit=True,
-    )
 
     def solve(self, request: SolveRequest) -> SolveOutcome:
         return check_validity_svc(
@@ -100,17 +74,11 @@ class BruteEngine(Engine):
     Complete only below its enumeration budget (``options["limit"]``,
     default 2,000,000 interpretations); beyond that it answers UNKNOWN
     immediately instead of consuming time, which makes it a cheap
-    portfolio member on tiny formulas and a no-op on large ones.
+    portfolio member on tiny formulas and a no-op on large ones.  It is
+    the one built-in engine that returns no countermodel.
     """
 
     name = "brute"
-    capabilities = EngineCapabilities(
-        description="small-model enumeration against the reference semantics",
-        complete=False,
-        bounded=True,
-        countermodels=False,
-        time_limit=False,
-    )
 
     DEFAULT_LIMIT = 2_000_000
 

@@ -17,6 +17,7 @@ sequential portfolio in-process.
 
 from __future__ import annotations
 
+import dataclasses
 import multiprocessing
 import queue as queue_mod
 import signal
@@ -26,7 +27,7 @@ from typing import Any, Dict, List, Optional, Sequence, Tuple
 from ..core.status import Status
 from ..logic.printer import to_sexpr
 from ..logic.terms import Formula
-from .base import Engine, EngineCapabilities
+from .base import Engine
 from .contract import SolveOutcome, SolveRequest
 
 __all__ = [
@@ -43,22 +44,23 @@ _TERMINATE_GRACE = 2.0
 _POLL_SECONDS = 0.05
 
 
-def default_members(
-    exclude: Sequence[str] = ("portfolio", "cached", "cube"),
-) -> List[str]:
-    """Every registered engine except the meta-engines.
+#: The meta-engines, never default race members.  Racing the race is
+#: circular, and a cache member adds nothing but a second
+#: canonicalization of the same formula.  ``cube`` is the *escalation*
+#: level — ``solve_batch`` re-runs undecided formulas through
+#: cube-and-conquer after the race — and a race member that forks its
+#: own worker fleet would oversubscribe the machine for every easy
+#: formula.
+_META_ENGINES = ("portfolio", "cached", "cube")
 
-    The portfolio itself and the ``cached`` wrapper are excluded: racing
-    the race is circular, and a cache member in a race adds nothing but
-    a second canonicalization of the same formula.  ``cube`` is excluded
-    because it is the *escalation* level — ``solve_batch`` re-runs
-    undecided formulas through cube-and-conquer after the race — and a
-    race member that forks its own worker fleet would oversubscribe the
-    machine for every easy formula.
-    """
+
+def default_members() -> List[str]:
+    """Every registered engine except the meta-engines."""
     from . import registry
 
-    return [name for name in registry.list_engines() if name not in exclude]
+    return [
+        name for name in registry.list_engines() if name not in _META_ENGINES
+    ]
 
 
 def _request_payload(request: SolveRequest) -> Dict[str, Any]:
@@ -68,37 +70,19 @@ def _request_payload(request: SolveRequest) -> Dict[str, Any]:
     worker, which re-establishes hash-consing in that process regardless
     of the multiprocessing start method.
     """
-    options = {
-        key: value
-        for key, value in request.options.items()
-        if key not in ("engines", "parallel", "deadline", "wait_all")
+    payload = {
+        field.name: getattr(request, field.name)
+        for field in dataclasses.fields(request)
     }
-    return {
-        "formula": to_sexpr(request.formula),
-        "want_countermodel": request.want_countermodel,
-        "time_limit": request.time_limit,
-        "conflict_limit": request.conflict_limit,
-        "sep_thold": request.sep_thold,
-        "trans_budget": request.trans_budget,
-        "sd_ranges": request.sd_ranges,
-        "preprocess": request.preprocess,
-        "options": options,
-    }
+    payload["formula"] = to_sexpr(request.formula)
+    return payload
 
 
 def _request_from_payload(payload: Dict[str, Any]) -> SolveRequest:
     from ..logic.parser import parse_formula
 
     return SolveRequest(
-        formula=parse_formula(payload["formula"]),
-        want_countermodel=payload["want_countermodel"],
-        time_limit=payload["time_limit"],
-        conflict_limit=payload["conflict_limit"],
-        sep_thold=payload["sep_thold"],
-        trans_budget=payload["trans_budget"],
-        sd_ranges=payload["sd_ranges"],
-        preprocess=payload.get("preprocess", True),
-        options=dict(payload["options"]),
+        **dict(payload, formula=parse_formula(payload["formula"]))
     )
 
 
@@ -253,7 +237,6 @@ def solve_portfolio(
     engines: Optional[Sequence[str]] = None,
     parallel: bool = True,
     deadline: Optional[float] = None,
-    wait_all: bool = False,
 ) -> SolveOutcome:
     """Race ``engines`` on ``request``; first decided verdict wins.
 
@@ -261,10 +244,6 @@ def solve_portfolio(
     whole race; members additionally receive ``request.time_limit`` as
     their own budget.  With ``parallel=False`` the members run in-process
     in priority order instead (deterministic, multiprocessing-free).
-    With ``wait_all=True`` the race waits for every member (or the
-    deadline) and then applies the priority tie-break — fully
-    deterministic regardless of completion order, at the cost of the
-    slowest member's runtime.
     """
     members = list(engines) if engines is not None else default_members()
     if not members:
@@ -317,8 +296,6 @@ def solve_portfolio(
             finished[name] = outcome
             if outcome.decided:
                 decided[name] = outcome
-                if wait_all:
-                    continue
                 # Drain same-tick arrivals so the priority tie-break sees
                 # every verdict that is already available.
                 while True:
@@ -429,8 +406,6 @@ def _solve_batch_raw(
         )
         for f in formulas
     ]
-    if not items:
-        return []
     if jobs is None:
         jobs = min(len(items), multiprocessing.cpu_count())
     if jobs <= 1 or len(items) == 1:
@@ -444,31 +419,24 @@ def solve_batch(
     formulas: Sequence[Formula],
     engines: Optional[Sequence[str]] = None,
     jobs: Optional[int] = None,
-    dedupe: bool = True,
-    cache: Optional[Any] = None,
-    cube_fallback: bool = True,
     **request_kwargs: Any,
 ) -> List[SolveOutcome]:
     """Decide many formulas with a pool of portfolio workers.
 
-    Each formula is decided by the *sequential* portfolio inside one pool
-    worker (pool children are daemonic and cannot fork the parallel
-    race); parallelism comes from deciding ``jobs`` formulas at once.
-    Results keep the input order.
+    The batch is first partitioned into alpha-isomorphism classes via
+    :func:`repro.logic.canonical.canonicalize`.  Each class is decided
+    once, on its canonical representative, by the *sequential* portfolio
+    inside one pool worker (pool children are daemonic and cannot fork
+    the parallel race); parallelism comes from deciding ``jobs`` classes
+    at once.  The verdict is fanned out to every member of the class and
+    countermodels are lifted back through each member's renaming map;
+    fanned-out outcomes carry ``stats.cache.dedupes = 1``.  Results keep
+    the input order.
 
-    With ``cube_fallback`` (the default) formulas the portfolio leaves
+    Unless ``cube`` is itself a member, classes the portfolio leaves
     undecided are escalated to the ``cube`` engine — the third
     scheduling level: dedupe across formulas, race across engines,
     cube-and-conquer within a formula (see :func:`_cube_escalate`).
-
-    With ``dedupe`` (the default) the batch is first partitioned into
-    alpha-isomorphism classes via :func:`repro.logic.canonical.canonicalize`:
-    each class is solved once on its canonical representative, the verdict
-    is fanned out to every member, and countermodels are lifted back
-    through each member's renaming map.  Fanned-out outcomes carry
-    ``stats.cache.dedupes = 1``.  ``cache`` (a
-    :class:`repro.service.ResultCache`) additionally consults/updates the
-    result cache per class, so repeated batches skip the solve entirely.
     """
     members = list(engines) if engines is not None else default_members()
     if not members:
@@ -476,16 +444,9 @@ def solve_batch(
     formulas = list(formulas)
     if not formulas:
         return []
-    escalate = cube_fallback and "cube" not in members
-    if not dedupe and cache is None:
-        outcomes = _solve_batch_raw(formulas, members, jobs, request_kwargs)
-        if escalate:
-            _cube_escalate(formulas, outcomes, request_kwargs)
-        return outcomes
 
     from ..core.result import CacheStats, DecisionStats
     from ..logic.canonical import canonicalize, lift_interpretation
-    from ..service.cache import CacheEntry, config_fingerprint
 
     # Hash-consing makes repeated formulas *identical* objects, so an
     # identity memo gives one canonicalization per distinct formula —
@@ -506,73 +467,18 @@ def solve_batch(
             order.append(form.key)
         classes[form.key].append(idx)
 
-    want_model = request_kwargs.get("want_countermodel", True)
-    fingerprint = None
-    if cache is not None:
-        probe = SolveRequest(formula=formulas[0], **request_kwargs)
-        fingerprint = config_fingerprint(
-            "batch:%s" % ",".join(members), probe
-        )
-
-    # Canonical-space outcome per class: from the cache when possible,
-    # otherwise solved on the canonical representative.
-    canonical_outcomes: Dict[str, SolveOutcome] = {}
-    to_solve: List[str] = []
-    for key in order:
-        if cache is not None:
-            entry, tier = cache.lookup(
-                key, fingerprint, want_countermodel=want_model
-            )
-            if entry is not None:
-                stats = DecisionStats(method="cache")
-                stats.cache = CacheStats(
-                    hits_memory=1 if tier == "memory" else 0,
-                    hits_disk=1 if tier == "disk" else 0,
-                )
-                canonical_outcomes[key] = SolveOutcome(
-                    engine="portfolio",
-                    status=Status(entry.status),
-                    stats=stats,
-                    counterexample=entry.countermodel,
-                    detail="cache hit (%s tier, solved by %s)"
-                    % (tier, entry.engine),
-                    winner=entry.engine or None,
-                )
-                continue
-        to_solve.append(key)
-
-    canonical_formulas = [forms[classes[key][0]].formula for key in to_solve]
+    canonical_formulas = [forms[classes[key][0]].formula for key in order]
     solved = _solve_batch_raw(
         canonical_formulas, members, jobs, request_kwargs
     )
-    if escalate:
-        # Escalate before cache-store/fan-out so a cube verdict is cached
-        # and distributed to every isomorphic duplicate.
+    if "cube" not in members:
+        # Escalate before the fan-out so a cube verdict reaches every
+        # isomorphic duplicate.
         _cube_escalate(canonical_formulas, solved, request_kwargs)
-    for key, outcome in zip(to_solve, solved):
-        if outcome.stats.cache is None:
-            outcome.stats.cache = CacheStats()
-        outcome.stats.cache.misses += 1 if cache is not None else 0
-        if cache is not None and outcome.status in (
-            Status.VALID,
-            Status.INVALID,
-        ):
-            if cache.store(
-                key,
-                fingerprint,
-                CacheEntry(
-                    status=str(outcome.status),
-                    countermodel=outcome.counterexample,
-                    engine=outcome.winner or outcome.engine,
-                ),
-            ):
-                outcome.stats.cache.stores += 1
-        canonical_outcomes[key] = outcome
 
     results: List[Optional[SolveOutcome]] = [None] * len(formulas)
-    for key in order:
+    for key, canon in zip(order, solved):
         indices = classes[key]
-        canon = canonical_outcomes[key]
         canonical_model = canon.counterexample
         for position, idx in enumerate(indices):
             lifted = (
@@ -586,10 +492,6 @@ def solve_batch(
                 continue
             stats = DecisionStats(method=canon.stats.method)
             stats.cache = CacheStats(dedupes=1)
-            if cache is not None:
-                # note_dedupes takes the cache's lock; mutating
-                # cache.stats directly here would race the serve workers.
-                cache.note_dedupes()
             results[idx] = SolveOutcome(
                 engine=canon.engine,
                 status=canon.status,
@@ -603,26 +505,16 @@ def solve_batch(
 
 
 class PortfolioEngine(Engine):
-    """The portfolio as a registry engine of its own.
+    """The default-member portfolio as a registry engine of its own.
 
-    ``request.options`` knobs: ``engines`` (member subset, priority
-    order), ``parallel`` (default True), ``deadline`` (seconds),
-    ``wait_all`` (wait for every member before tie-breaking).
+    Inside a daemonic process (a race member, a batch pool worker),
+    which cannot fork the race's members, it runs the sequential
+    portfolio instead.
     """
 
     name = "portfolio"
-    capabilities = EngineCapabilities(
-        description="process-parallel race of all engines, first verdict wins",
-        complete=True,
-        countermodels=True,
-        time_limit=True,
-    )
 
     def solve(self, request: SolveRequest) -> SolveOutcome:
         return solve_portfolio(
-            request,
-            engines=request.options.get("engines"),
-            parallel=request.options.get("parallel", True),
-            deadline=request.options.get("deadline"),
-            wait_all=request.options.get("wait_all", False),
+            request, parallel=not multiprocessing.current_process().daemon
         )

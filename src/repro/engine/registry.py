@@ -19,15 +19,12 @@ import threading
 from typing import Dict, List
 
 from .base import Engine
-from .contract import SolveOutcome, SolveRequest
 
 __all__ = [
     "register",
     "unregister",
     "get",
     "list_engines",
-    "engines",
-    "priority",
 ]
 
 _REGISTRY: Dict[str, Engine] = {}
@@ -67,16 +64,13 @@ def _ensure_builtins() -> None:
         _BUILTINS_LOADED = True
 
 
-def register(engine: Engine, replace: bool = False) -> Engine:
+def register(engine: Engine) -> Engine:
     """Add ``engine`` under ``engine.name``; appended to priority order."""
     if not engine.name:
         raise ValueError("engine has no name: %r" % (engine,))
     with _REGISTRY_LOCK:
-        if engine.name in _REGISTRY and not replace:
-            raise ValueError(
-                "engine %r is already registered (pass replace=True to "
-                "swap)" % engine.name
-            )
+        if engine.name in _REGISTRY:
+            raise ValueError("engine %r is already registered" % engine.name)
         _REGISTRY[engine.name] = engine
     return engine
 
@@ -106,23 +100,3 @@ def list_engines() -> List[str]:
     # concurrent register() resizes the dict mid-iteration.
     with _REGISTRY_LOCK:
         return list(_REGISTRY)
-
-
-def engines() -> List[Engine]:
-    _ensure_builtins()
-    with _REGISTRY_LOCK:
-        return list(_REGISTRY.values())
-
-
-def priority(name: str) -> int:
-    """Rank of ``name`` in the tie-break order (lower wins)."""
-    names = list_engines()
-    try:
-        return names.index(name)
-    except ValueError:
-        return len(names)
-
-
-def solve(name: str, request: SolveRequest) -> SolveOutcome:
-    """Shorthand for ``get(name).solve(request)``."""
-    return get(name).solve(request)

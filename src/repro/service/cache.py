@@ -34,12 +34,12 @@ import tempfile
 import threading
 import time
 from collections import OrderedDict
-from dataclasses import dataclass, field
+from dataclasses import dataclass, replace
 from typing import Any, Callable, Dict, Optional, Tuple
 
 from ..core.result import CacheStats, DecisionStats, StageRecord
 from ..core.status import Status
-from ..engine.base import Engine, EngineCapabilities
+from ..engine.base import Engine
 from ..engine.contract import SolveRequest, SolveOutcome
 from ..logic.canonical import (
     CANONICAL_VERSION,
@@ -69,11 +69,10 @@ CACHE_SCHEMA_VERSION = 1
 #: Conventional location of the disk tier (relative to the cwd).
 DEFAULT_CACHE_DIR = os.path.join("results", "cache")
 
-#: Request options that never change a verdict (they select *how* the
-#: cached wrapper itself behaves), excluded from the fingerprint.
-_VOLATILE_OPTIONS = frozenset(
-    {"engine", "cache_dir", "cache", "parallel", "deadline", "wait_all"}
-)
+#: The cached engine's own options, excluded from the fingerprint: they
+#: pick the inner engine (already named in the fingerprint) and where
+#: the disk tier lives, neither of which changes a verdict.
+_VOLATILE_OPTIONS = frozenset({"engine", "cache_dir"})
 
 
 def interp_to_jsonable(interp: Interpretation) -> Dict[str, Any]:
@@ -290,11 +289,6 @@ class ResultCache:
         while len(self._memory) > self.max_entries:
             self._memory.popitem(last=False)
 
-    def note_dedupes(self, count: int = 1) -> None:
-        """Thread-safely count batch dedupes against this cache's stats."""
-        with self._lock:
-            self.stats.dedupes += count
-
     def store(self, key: str, fingerprint: str, entry: CacheEntry) -> bool:
         """Record a decided verdict; refuses undecided statuses."""
         if entry.status not in (str(Status.VALID), str(Status.INVALID)):
@@ -390,7 +384,7 @@ def solve_cached(
 
     local.misses += 1
     lookup_seconds = time.perf_counter() - start
-    outcome = solver(request.replace_formula(form.formula))
+    outcome = solver(replace(request, formula=form.formula))
     solved_by = outcome.winner or outcome.engine
     if outcome.status in (Status.VALID, Status.INVALID):
         stored = cache.store(
@@ -444,20 +438,12 @@ class CachedEngine(Engine):
     """Registry wrapper adding the result cache in front of any engine.
 
     ``options["engine"]`` picks the inner engine (default ``hybrid``);
-    ``options["cache_dir"]`` enables the disk tier at that path.  The
-    wrapper advertises the union capabilities of the default inner
-    engine; it is excluded from the default portfolio roster (a cache in
-    a race adds nothing but a second canonicalization).
+    ``options["cache_dir"]`` enables the disk tier at that path.  It is
+    excluded from the default portfolio roster (a cache in a race adds
+    nothing but a second canonicalization).
     """
 
     name = "cached"
-    capabilities = EngineCapabilities(
-        description="canonicalization-keyed result cache over an inner "
-        "engine (options: engine=<name>, cache_dir=<path>)",
-        complete=True,
-        countermodels=True,
-        time_limit=True,
-    )
 
     DEFAULT_INNER = "hybrid"
 

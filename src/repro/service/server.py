@@ -83,7 +83,6 @@ class ServeConfig:
     default_timeout: Optional[float] = None
     use_cache: bool = True
     cache_dir: Optional[str] = None
-    cache_max_entries: int = 4096
     #: Solve via a forked single-member portfolio race so deadlines can
     #: kill a stuck solve.  ``False`` solves in-process (deterministic,
     #: fork-free) but can only observe a deadline between engines.
@@ -631,9 +630,7 @@ def run_server(
     out = stdout if stdout is not None else sys.stdout
     cache: Optional[ResultCache] = None
     if config.use_cache:
-        cache = ResultCache(
-            max_entries=config.cache_max_entries, disk_dir=config.cache_dir
-        )
+        cache = ResultCache(disk_dir=config.cache_dir)
     state = _ServerState(
         config=config,
         out=out,

@@ -190,6 +190,34 @@ class TestCheckParseErrors:
         assert code == 2
         assert "error:" in capsys.readouterr().err
 
+    @pytest.mark.parametrize(
+        "argv,stdin_text",
+        [
+            (["check", "/no/such/file"], None),
+            (["analyze", "/no/such/file"], None),
+            (["analyze", "-"], "(=> (and"),
+            (["portfolio", "/no/such/file"], None),
+            (["portfolio", "-"], "(=> (and"),
+            (["sat", "/no/such/file"], None),
+            (["sat", "-"], "p cnf 1 1\n1 x 0\n"),
+            (["sat", "-"], "p cnf 1\n1 0\n"),
+        ],
+        ids=[
+            "check-missing-file",
+            "analyze-missing-file",
+            "analyze-malformed-sexpr",
+            "portfolio-missing-file",
+            "portfolio-malformed-sexpr",
+            "sat-missing-file",
+            "sat-malformed-literal",
+            "sat-malformed-header",
+        ],
+    )
+    def test_unreadable_input(self, capsys, argv, stdin_text):
+        code, _out = run_cli(argv, stdin_text=stdin_text)
+        assert code == 2
+        assert capsys.readouterr().err.startswith("error: ")
+
 
 class TestNoPreprocessFlag:
     def test_flag_parsed(self):

@@ -4,7 +4,7 @@ import pytest
 
 from repro.benchgen.cnf import pigeonhole_cnf
 from repro.core.status import Status
-from repro.engine import registry
+from repro.engine import cube, registry
 from repro.engine.contract import SolveRequest
 from repro.engine.cube import conquer
 from repro.core.result import StageRecord
@@ -90,14 +90,12 @@ class TestConductor:
         assert record.counters["workers"] == 2
         assert record.counters["refuted_cubes"] > 0
 
-    def test_tiny_budget_forces_resplits(self):
+    def test_tiny_budget_forces_resplits(self, monkeypatch):
         # A 20-conflict budget cannot refute any depth-2 cube of this
         # instance, so the conductor must re-split to finish.
+        monkeypatch.setattr(cube, "DEFAULT_BUDGET", 20)
         result, record = conquer_cnf(
-            pigeonhole_cnf(7, 6),
-            cube_depth=2,
-            cube_procs=2,
-            cube_budget=20,
+            pigeonhole_cnf(7, 6), cube_depth=2, cube_procs=2
         )
         assert result.status == "UNSAT"
         assert record.counters["resplits"] > 0

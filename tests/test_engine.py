@@ -1,19 +1,35 @@
 """Tests for the engine layer: contract, registry, stage telemetry."""
 
+import dataclasses
+
 import pytest
 
 from repro.benchgen.suite import benchmark_by_name
 from repro.core.result import FRONT_END_STAGES, SEARCH_STAGES
 from repro.core.status import Status
 from repro.engine import registry
-from repro.engine.base import Engine, EngineCapabilities
+from repro.engine.base import Engine
 from repro.engine.contract import SolveOutcome, SolveRequest
+from repro.engine.portfolio import _request_from_payload, _request_payload
 from repro.logic.parser import parse_formula
+from repro.service.cache import ResultCache, solve_cached
 
 VALID_F = "(=> (and (< x y) (< y z)) (< x z))"
 INVALID_F = "(= x y)"
 
 ALL_ENGINES = ("hybrid", "static", "eij", "sd", "lazy", "svc", "brute")
+
+#: A non-default value for every SolveRequest field but the formula.
+NON_DEFAULT_FIELDS = {
+    "want_countermodel": False,
+    "time_limit": 12.5,
+    "conflict_limit": 321,
+    "sep_thold": 123,
+    "trans_budget": 4567,
+    "sd_ranges": "ascending",
+    "preprocess": False,
+    "options": {"limit": 7},
+}
 
 
 class TestStatus:
@@ -63,15 +79,6 @@ class TestRegistry:
             registry.unregister("fake-test-engine")
         assert "fake-test-engine" not in registry.list_engines()
 
-    def test_capability_metadata(self):
-        assert registry.get("brute").capabilities.bounded
-        assert not registry.get("brute").capabilities.countermodels
-        for name in ("hybrid", "lazy", "svc"):
-            caps = registry.get(name).capabilities
-            assert caps.complete
-            assert caps.countermodels
-            assert caps.description
-
 
 class TestEngineContract:
     @pytest.mark.parametrize("name", ALL_ENGINES)
@@ -85,7 +92,7 @@ class TestEngineContract:
     def test_invalid_formula(self, name):
         outcome = registry.get(name).decide(parse_formula(INVALID_F))
         assert outcome.status == Status.INVALID
-        if registry.get(name).capabilities.countermodels:
+        if name != "brute":  # the one engine without countermodels
             assert outcome.counterexample is not None
 
     @pytest.mark.parametrize("name", ALL_ENGINES)
@@ -107,16 +114,29 @@ class TestEngineContract:
                 outcome.status,
             )
 
-    def test_replace_formula_keeps_knobs(self):
-        request = SolveRequest(
-            formula=parse_formula(VALID_F),
-            sep_thold=123,
-            options={"limit": 7},
-        )
-        clone = request.replace_formula(parse_formula(INVALID_F))
-        assert clone.sep_thold == 123
-        assert clone.options == {"limit": 7}
-        assert clone.formula is not request.formula
+    @pytest.mark.parametrize(
+        "name",
+        [f.name for f in dataclasses.fields(SolveRequest) if f.name != "formula"],
+    )
+    def test_field_survives_payload_and_cache_rebase(self, name):
+        value = NON_DEFAULT_FIELDS[name]  # a new field needs an entry
+        formula = parse_formula(INVALID_F)
+        assert getattr(SolveRequest(formula=formula), name) != value
+        request = SolveRequest(formula=formula, **{name: value})
+
+        shipped = _request_from_payload(_request_payload(request))
+        assert getattr(shipped, name) == value
+        assert shipped.formula is formula  # re-parsed, hash-consed
+
+        rebased = []
+
+        def solver(req):
+            rebased.append(req)
+            return SolveOutcome(engine="probe", status=Status.UNKNOWN)
+
+        solve_cached(request, solver, ResultCache(), "fingerprint")
+        assert getattr(rebased[0], name) == value
+        assert rebased[0].formula is not formula  # canonical names
 
 
 class TestStageTelemetry:
@@ -249,7 +269,3 @@ class TestEngineOptions:
             SolveRequest(formula=bench.formula, trans_budget=1)
         )
         assert outcome.status == Status.TRANSLATION_LIMIT
-
-    def test_capabilities_dataclass(self):
-        caps = EngineCapabilities(description="x", bounded=True)
-        assert caps.bounded and caps.description == "x"

@@ -133,42 +133,3 @@ class TestThresholdExperimentPieces:
         selection = select_threshold(samples)
         assert selection.threshold == 100
 
-
-class TestExport:
-    def _rows(self):
-        bench = make_pipeline(stages=2, reads=2, seed=0)
-        return [
-            runner.run_benchmark(bench, "HYBRID", timeout=20.0),
-            runner.run_benchmark(bench, "EIJ", timeout=20.0),
-        ]
-
-    def test_csv_round_trip(self):
-        import csv
-        import io
-
-        from repro.experiments.export import write_csv
-
-        rows = self._rows()
-        buf = io.StringIO()
-        write_csv(rows, buf)
-        buf.seek(0)
-        parsed = list(csv.DictReader(buf))
-        assert len(parsed) == 2
-        assert parsed[0]["procedure"] == "HYBRID"
-        assert parsed[0]["status"] == "VALID"
-        assert float(parsed[0]["total_seconds"]) > 0
-
-    def test_json_output(self):
-        import io
-        import json
-
-        from repro.experiments.export import write_json
-
-        rows = self._rows()
-        buf = io.StringIO()
-        write_json(rows, buf)
-        parsed = json.loads(buf.getvalue())
-        assert len(parsed) == 2
-        assert parsed[1]["procedure"] == "EIJ"
-        assert parsed[1]["timed_out"] is False
-        assert "normalized_seconds" in parsed[0]

@@ -7,9 +7,10 @@ import pytest
 
 from repro.core.status import Status
 from repro.engine import registry
-from repro.engine.base import Engine, EngineCapabilities
+from repro.engine.base import Engine
 from repro.engine.contract import SolveOutcome, SolveRequest
 from repro.engine.portfolio import (
+    _pick_winner,
     default_members,
     solve_batch,
     solve_portfolio,
@@ -29,7 +30,6 @@ class SleepyEngine(Engine):
     """Decides nothing for 30 s — the designated race loser."""
 
     name = "sleepy-test"
-    capabilities = EngineCapabilities(description="sleeps", complete=False)
 
     def solve(self, request):
         deadline = time.time() + 30.0
@@ -40,7 +40,6 @@ class SleepyEngine(Engine):
 
 class CrashyEngine(Engine):
     name = "crashy-test"
-    capabilities = EngineCapabilities(description="raises", complete=False)
 
     def solve(self, request):
         raise RuntimeError("intentional test crash")
@@ -176,18 +175,16 @@ class TestParallelPortfolio:
         assert outcome.status == Status.UNKNOWN
         assert elapsed < 15.0
 
-    def test_deterministic_priority_tie_break(self, sleepy):
-        # wait_all waits for every member, then the fixed priority order
-        # decides — the same winner on every run, regardless of timing.
-        winners = set()
-        for _ in range(3):
-            outcome = solve_portfolio(
-                request_for(VALID_F),
-                engines=["sd", "hybrid", "eij"],
-                wait_all=True,
-            )
-            winners.add(outcome.winner)
-        assert winners == {"sd"}
+    def test_deterministic_priority_tie_break(self):
+        # Among members decided in the same poll tick, the lowest member
+        # index wins, whatever order the verdicts arrived in.
+        members = ["sd", "hybrid", "eij"]
+        valid = SolveOutcome(engine="x", status=Status.VALID)
+        for arrived in (["eij", "hybrid"], ["hybrid", "eij"]):
+            decided = {name: valid for name in arrived}
+            assert _pick_winner(decided, members)[0] == "hybrid"
+        decided = {name: valid for name in reversed(members)}
+        assert _pick_winner(decided, members)[0] == "sd"
 
     def test_crashed_member_does_not_poison_race(self, crashy):
         outcome = solve_portfolio(
@@ -197,11 +194,19 @@ class TestParallelPortfolio:
         assert outcome.winner == "hybrid"
 
     def test_registered_as_engine(self):
-        outcome = registry.get("portfolio").solve(
-            request_for(VALID_F, options={"engines": ["hybrid", "eij"]})
-        )
+        outcome = registry.get("portfolio").solve(request_for(VALID_F))
         assert outcome.status == Status.VALID
         assert outcome.engine == "portfolio"
+        assert outcome.winner in default_members()
+
+    def test_portfolio_as_race_member(self):
+        # The member runs in a daemonic process, which cannot fork a race
+        # of its own; it must fall back to the sequential portfolio.
+        outcome = solve_portfolio(
+            request_for("(= x x)"), engines=["portfolio"]
+        )
+        assert outcome.status == Status.VALID
+        assert outcome.winner == "portfolio"
 
 
 class TestBatch:
@@ -264,7 +269,6 @@ class UndecidedEngine(Engine):
     """Returns UNKNOWN instantly — forces the cube escalation path."""
 
     name = "undecided-test"
-    capabilities = EngineCapabilities(description="abstains", complete=False)
 
     def solve(self, request):
         return SolveOutcome(engine=self.name, status=Status.UNKNOWN)
@@ -324,15 +328,6 @@ class TestCubeFallback:
         assert any(
             "cube escalation" in (o.detail or "") for o in outcomes
         )
-
-    def test_batch_no_fallback_stays_undecided(self, undecided):
-        outcomes = solve_batch(
-            [parse_formula(VALID_F)],
-            engines=["undecided-test"],
-            jobs=1,
-            cube_fallback=False,
-        )
-        assert outcomes[0].valid is None
 
     def test_escalated_countermodel_lifted_through_dedupe(self, undecided):
         formula = parse_formula(INVALID_F)

@@ -318,29 +318,6 @@ class TestSolveBatchDedupe:
                 assert outcome.counterexample is not None
                 assert evaluate(formula, outcome.counterexample) is False
 
-    def test_dedupe_false_matches_dedupe_true(self):
-        formulas = self._formulas()
-        plain = solve_batch(
-            formulas, engines=["hybrid"], jobs=1, dedupe=False
-        )
-        deduped = solve_batch(formulas, engines=["hybrid"], jobs=1)
-        assert [o.status for o in plain] == [o.status for o in deduped]
-
-    def test_batch_cache_warm_run_hits(self):
-        cache = ResultCache()
-        formulas = self._formulas()
-        cold = solve_batch(formulas, engines=["hybrid"], jobs=1, cache=cache)
-        warm = solve_batch(formulas, engines=["hybrid"], jobs=1, cache=cache)
-        assert [o.status for o in cold] == [o.status for o in warm]
-        # Two isomorphism classes: 2 misses+stores cold, 2 hits warm.
-        assert cache.stats.stores == 2
-        assert cache.stats.hits_memory == 2
-        assert warm[0].stats.cache.hits_memory == 1
-        assert warm[1].stats.cache.hits_memory == 1
-        for formula, outcome in zip(formulas, warm):
-            if outcome.status == Status.INVALID:
-                assert evaluate(formula, outcome.counterexample) is False
-
     def test_empty_batch(self):
         assert solve_batch([], engines=["hybrid"]) == []
 
