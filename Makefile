@@ -64,10 +64,11 @@ compete-smoke:
 		--methods hybrid,portfolio --timeout 30 --fail-on-error \
 		--out compete-report.json
 
-# cProfile one generated CNF instance (PROFILE_ARGS picks instance/flags,
-# e.g. make profile PROFILE_ARGS="php_9_8 --cube").  The repository's
-# benchmark is perfbench/ (python3 perfbench/run.py; see
-# perfbench/NOTES.md), not a make target.
+# cProfile one generated CNF instance or one suite query end to end
+# (PROFILE_ARGS picks instance/flags, e.g. make profile
+# PROFILE_ARGS="php_9_8 --cube" or PROFILE_ARGS="invariant_n13_4").
+# The repository's benchmark is perfbench/ (python3 perfbench/run.py;
+# see perfbench/NOTES.md), not a make target.
 profile:
 	PYTHONPATH=$(PYTHONPATH) $(PYTHON) tools/profile_sat.py $(PROFILE_ARGS)
 

@@ -76,6 +76,9 @@ def check_validity(
         the experiments model the paper's EIJ translation-stage timeouts).
     sat_time_limit / sat_conflict_limit:
         Resource limits for the SAT search (status ``UNKNOWN`` when hit).
+        The time limit, counted from the start of the run, also bounds
+        transitivity generation (status ``TRANSLATION_LIMIT`` when hit
+        there).
     sd_ranges:
         ``"uniform"`` uses the paper's per-class window for SD domains;
         ``"ascending"`` applies the tighter Pnueli-et-al. allocation to

@@ -146,10 +146,12 @@ class _HybridEngine:
         chooser=None,
         use_eq_vars: bool = True,
         sd_ranges: str = "uniform",
+        deadline: Optional[float] = None,
     ) -> None:
         self.analysis = analysis
         self.sep_thold = sep_thold
         self.trans_budget = trans_budget
+        self.deadline = deadline
         self.generate_trans = generate_trans
         self.chooser = chooser
         self.use_eq_vars = use_eq_vars
@@ -390,6 +392,7 @@ class _HybridEngine:
                         vclass.vars,
                         budget=self.trans_budget,
                         stats=tstats,
+                        deadline=self.deadline,
                     )
                 else:
                     clauses = generate_transitivity(
@@ -397,6 +400,7 @@ class _HybridEngine:
                         vclass.vars,
                         budget=self.trans_budget,
                         stats=tstats,
+                        deadline=self.deadline,
                     )
                 trans_parts.extend(clauses)
             else:
@@ -437,6 +441,7 @@ def _encode(
     generate_trans: bool = True,
     use_eq_vars: bool = True,
     sd_ranges: str = "uniform",
+    deadline: Optional[float] = None,
 ) -> Encoding:
     if analysis is None:
         analysis = analyze_separation(f_sep)
@@ -448,6 +453,7 @@ def _encode(
         generate_trans,
         use_eq_vars=use_eq_vars,
         sd_ranges=sd_ranges,
+        deadline=deadline,
     )
     return engine.encode()
 
@@ -457,9 +463,19 @@ def encode_hybrid(
     sep_thold: int = DEFAULT_SEP_THOLD,
     trans_budget: Optional[int] = None,
     analysis: Optional[SeparationAnalysis] = None,
+    deadline: Optional[float] = None,
 ) -> Encoding:
-    """The paper's HYBRID encoding with the given ``SEP_THOLD``."""
-    return _encode(f_sep, sep_thold, trans_budget, "HYBRID", analysis)
+    """The paper's HYBRID encoding with the given ``SEP_THOLD``.
+
+    Transitivity generation raises
+    :class:`~repro.encodings.transitivity.TransitivityBudgetExceeded`
+    past ``trans_budget`` clauses or past ``deadline`` (a
+    :func:`time.perf_counter` value); so do the other encoders that
+    take them.
+    """
+    return _encode(
+        f_sep, sep_thold, trans_budget, "HYBRID", analysis, deadline=deadline
+    )
 
 
 def encode_sd(
@@ -479,6 +495,7 @@ def encode_static_hybrid(
     f_sep: Formula,
     trans_budget: Optional[int] = None,
     analysis: Optional[SeparationAnalysis] = None,
+    deadline: Optional[float] = None,
 ) -> Encoding:
     """The CFV'02 *fixed* hybrid the paper says met with limited success:
     equalities without arithmetic use EIJ, everything else uses SD — the
@@ -492,7 +509,12 @@ def encode_static_hybrid(
     if analysis is None:
         analysis = analyze_separation(f_sep)
     engine = _HybridEngine(
-        analysis, None, trans_budget, "STATIC", chooser=chooser
+        analysis,
+        None,
+        trans_budget,
+        "STATIC",
+        chooser=chooser,
+        deadline=deadline,
     )
     return engine.encode()
 
@@ -502,6 +524,7 @@ def encode_eij(
     trans_budget: Optional[int] = None,
     analysis: Optional[SeparationAnalysis] = None,
     transitivity: bool = True,
+    deadline: Optional[float] = None,
 ) -> Encoding:
     """Pure per-constraint encoding (HYBRID with infinite ``SEP_THOLD``).
 
@@ -518,4 +541,5 @@ def encode_eij(
         analysis,
         generate_trans=transitivity,
         use_eq_vars=transitivity,
+        deadline=deadline,
     )

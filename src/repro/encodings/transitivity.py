@@ -22,15 +22,24 @@ The number of constants per edge can grow multiplicatively — this is the
 potentially-exponential blow-up the paper attributes to EIJ.  A budget
 caps the work and raises :class:`TransitivityBudgetExceeded`, which the
 experiment harness treats the way the paper treats EIJ translation-stage
-timeouts.
+timeouts.  A deadline does the same for a solve's time limit.
+
+The elimination loops work on signed-int literals: ``+k`` is the ``k``-th
+registry variable met, ``-k`` its negation, and the clauses go into a flat
+int array.  The clause formulas (``Or`` of the registry literals, with
+``Not`` for the negative ones) are built in one pass at the end, so a
+class that trips the budget interns none of them.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+import math
+import time
+from array import array
+from dataclasses import dataclass
 from typing import Dict, List, Optional, Sequence, Set, Tuple
 
-from ..logic.terms import BoolVar, Formula, Not, Or, Var
+from ..logic.terms import Formula, Not, Or, Var
 from .sepvars import SepVarRegistry
 
 __all__ = [
@@ -40,15 +49,28 @@ __all__ = [
     "generate_equality_transitivity",
 ]
 
+#: Clauses emitted between two looks at the clock when a deadline is set.
+_DEADLINE_STRIDE = 1024
+
 
 class TransitivityBudgetExceeded(Exception):
-    """Raised when constraint generation exceeds the configured budget."""
+    """Raised when constraint generation exceeds its clause budget or
+    runs past its deadline."""
 
-    def __init__(self, clauses: int, budget: int):
-        super().__init__(
-            "transitivity generation exceeded budget: %d clauses "
-            "(budget %d)" % (clauses, budget)
-        )
+    def __init__(
+        self, clauses: int, budget: Optional[int], timed_out: bool = False
+    ):
+        if timed_out:
+            message = (
+                "transitivity generation exceeded the time limit after "
+                "%d clauses" % clauses
+            )
+        else:
+            message = (
+                "transitivity generation exceeded budget: %d clauses "
+                "(budget %d)" % (clauses, budget)
+            )
+        super().__init__(message)
         self.clauses = clauses
         self.budget = budget
 
@@ -61,8 +83,83 @@ class TransitivityStats:
     fill_edges: int = 0
 
 
-def _negate(literal: Formula) -> Formula:
-    return literal.arg if isinstance(literal, Not) else Not(literal)
+class _Limits:
+    """The clause budget and the deadline of one generator call.
+
+    A generator calls :meth:`check` each time its cumulative clause
+    count reaches the value :meth:`next_check` gave: so the budget is
+    checked on the first clause past it, and the clock every
+    ``_DEADLINE_STRIDE`` clauses when there is a deadline.
+    """
+
+    def __init__(
+        self, budget: Optional[int], deadline: Optional[float]
+    ) -> None:
+        self.budget = budget
+        self.deadline = deadline
+
+    def next_check(self, clauses: int) -> float:
+        """The clause count at which to call :meth:`check` next."""
+        at = math.inf if self.budget is None else self.budget + 1
+        if self.deadline is not None:
+            at = min(at, clauses + _DEADLINE_STRIDE)
+        return at
+
+    def check(self, clauses: int) -> float:
+        """Raise when a limit is hit; else return :meth:`next_check`."""
+        if self.budget is not None and clauses > self.budget:
+            raise TransitivityBudgetExceeded(clauses, self.budget)
+        if self.deadline is not None and time.perf_counter() > self.deadline:
+            raise TransitivityBudgetExceeded(
+                clauses, self.budget, timed_out=True
+            )
+        return self.next_check(clauses)
+
+
+class _IntClauses:
+    """The clauses of one generator call, over signed-int literals:
+    ``+k`` is the ``k``-th registry variable met, ``-k`` its negation.
+
+    Each clause takes three slots of :attr:`slots`; a two-literal clause
+    fills its third with 0.
+    """
+
+    def __init__(self) -> None:
+        self.slots = array("i")
+        self._variables: List[Formula] = []
+        self._code_of: Dict[int, int] = {}
+
+    def code(self, literal: Formula) -> int:
+        """The int literal of a registry literal (a variable or its ``Not``)."""
+        if isinstance(literal, Not):
+            return -self._var_code(literal.arg)
+        return self._var_code(literal)
+
+    def _var_code(self, var: Formula) -> int:
+        k = self._code_of.get(id(var))
+        if k is None:
+            self._variables.append(var)
+            k = self._code_of[id(var)] = len(self._variables)
+        return k
+
+    def formulas(self) -> List[Formula]:
+        """The ``Or`` formula of each clause, in the order emitted."""
+        variables = self._variables
+        negated: Dict[int, Formula] = {}
+        out: List[Formula] = []
+        slots = iter(self.slots)
+        for clause in zip(slots, slots, slots):
+            literals: List[Formula] = []
+            for lit in clause:
+                if lit > 0:
+                    literals.append(variables[lit - 1])
+                elif lit < 0:
+                    node = negated.get(lit)
+                    if node is None:
+                        node = negated[lit] = Not(variables[-lit - 1])
+                    literals.append(node)
+            out.append(Or(*literals))
+        return out
 
 
 def generate_equality_transitivity(
@@ -70,6 +167,7 @@ def generate_equality_transitivity(
     class_vars: Sequence[Var],
     budget: Optional[int] = None,
     stats: Optional[TransitivityStats] = None,
+    deadline: Optional[float] = None,
 ) -> List[Formula]:
     """Triangle constraints for an *equality-only* class (Bryant–Velev).
 
@@ -78,6 +176,7 @@ def generate_equality_transitivity(
     the filled graph contributes its three transitivity implications
     ``E_ab ∧ E_bc ⇒ E_ac``.  This is the polynomial subclass the paper's
     Section 3 footnote highlights — no constants, no derived chains.
+    ``budget`` and ``deadline`` are as for :func:`generate_transitivity`.
     """
     if stats is None:
         stats = TransitivityStats()
@@ -90,26 +189,13 @@ def generate_equality_transitivity(
         adjacency.setdefault(x, set()).add(y)
         adjacency.setdefault(y, set()).add(x)
 
-    clauses: List[Formula] = []
-    seen_triangles: Set[frozenset] = set()
+    clauses = _IntClauses()
+    slots = clauses.slots
+    limits = _Limits(budget, deadline)
+    check_at = limits.next_check(stats.clauses)
 
-    def emit_triangle(a: Var, v: Var, c: Var) -> None:
-        key = frozenset((a.uid, v.uid, c.uid))
-        if key in seen_triangles:
-            return
-        seen_triangles.add(key)
-        e_av = registry.eq_var(a, v, derived=True)
-        e_vc = registry.eq_var(v, c, derived=True)
-        e_ac = registry.eq_var(a, c, derived=True)
-        for p, q, r in (
-            (e_av, e_vc, e_ac),
-            (e_av, e_ac, e_vc),
-            (e_vc, e_ac, e_av),
-        ):
-            clauses.append(Or(Not(p), Not(q), r))
-            stats.clauses += 1
-        if budget is not None and stats.clauses > budget:
-            raise TransitivityBudgetExceeded(stats.clauses, budget)
+    def eq(x: Var, y: Var) -> int:
+        return clauses.code(registry.eq_var(x, y, derived=True))
 
     remaining = set(adjacency)
     while remaining:
@@ -121,14 +207,20 @@ def generate_equality_transitivity(
                     stats.fill_edges += 1
                 adjacency.setdefault(a, set()).add(c)
                 adjacency.setdefault(c, set()).add(a)
-                emit_triangle(a, node, c)
+                # Each triangle is met once: it contains ``node``, which
+                # leaves the graph below.
+                p, q, r = eq(a, node), eq(node, c), eq(a, c)
+                slots.extend((-p, -q, r, -p, -r, q, -q, -r, p))
+                stats.clauses += 3
+                if stats.clauses >= check_at:
+                    check_at = limits.check(stats.clauses)
         for a in neighbors:
             adjacency[a].discard(node)
         adjacency[node] = set()
         remaining.discard(node)
         stats.eliminated_nodes += 1
 
-    return clauses
+    return clauses.formulas()
 
 
 def generate_transitivity(
@@ -136,18 +228,25 @@ def generate_transitivity(
     class_vars: Sequence[Var],
     budget: Optional[int] = None,
     stats: Optional[TransitivityStats] = None,
+    deadline: Optional[float] = None,
 ) -> List[Formula]:
     """Generate the transitivity clauses for one EIJ-encoded class.
 
     Returns a list of clause formulas (disjunctions of registry literals);
     their conjunction is the class's contribution to ``F_trans``.
+    ``budget`` caps the cumulative ``stats.clauses``; ``deadline`` is a
+    :func:`time.perf_counter` value.  Exceeding either raises
+    :class:`TransitivityBudgetExceeded` before any clause formula is
+    built.
     """
     if stats is None:
         stats = TransitivityStats()
     members: Set[Var] = set(class_vars)
+    clauses = _IntClauses()
+    slots = clauses.slots
 
     # Directed constant tables: (u, v) -> {c: literal asserting u - v <= c}.
-    table: Dict[Tuple[Var, Var], Dict[int, Formula]] = {}
+    table: Dict[Tuple[Var, Var], Dict[int, int]] = {}
     adjacency: Dict[Var, Set[Var]] = {}
 
     for x, y in registry.pairs():
@@ -156,36 +255,18 @@ def generate_transitivity(
         fwd = table.setdefault((x, y), {})
         rev = table.setdefault((y, x), {})
         for c in registry.constants(x, y):
-            lit = registry.literal(x, y, c)
+            lit = clauses.code(registry.literal(x, y, c))
             fwd[c] = lit
-            rev[-c - 1] = _negate(lit)
+            rev[-c - 1] = -lit
         adjacency.setdefault(x, set()).add(y)
         adjacency.setdefault(y, set()).add(x)
 
-    clauses: List[Formula] = []
-    seen_clauses: Set[frozenset] = set()
-
-    def emit(lits: Tuple[Formula, ...]) -> None:
-        key = frozenset(id(l) for l in lits)
-        if key in seen_clauses:
-            return
-        seen_clauses.add(key)
-        clauses.append(Or(*lits))
-        stats.clauses += 1
-        if budget is not None and stats.clauses > budget:
-            raise TransitivityBudgetExceeded(stats.clauses, budget)
-
-    def implied_literal(a: Var, b: Var, c: int) -> Formula:
-        entry = table.setdefault((a, b), {})
-        lit = entry.get(c)
-        if lit is None:
-            before = registry.var_count()
-            lit = registry.literal(a, b, c, derived=True)
-            if registry.var_count() > before:
-                stats.derived_vars += 1
-            entry[c] = lit
-            table.setdefault((b, a), {})[-c - 1] = _negate(lit)
-        return lit
+    # Clauses need no deduplication, as none can repeat: each holds a
+    # literal over a pair with the node being eliminated, which later
+    # clauses cannot mention; and a directed table maps distinct
+    # constants to distinct literals, all of one sign.
+    limits = _Limits(budget, deadline)
+    check_at = limits.next_check(stats.clauses)
 
     remaining = set(adjacency)
     while remaining:
@@ -204,17 +285,33 @@ def generate_transitivity(
                     # a -> node -> a : conflict when the cycle is negative.
                     for c1, l1 in in_bounds.items():
                         for c2, l2 in out_bounds.items():
-                            if c1 + c2 >= 0:
-                                continue
-                            nl1, nl2 = _negate(l1), _negate(l2)
-                            if nl1 is l2:  # complementary literals: tautology
-                                continue
-                            emit((nl1, nl2))
+                            if c1 + c2 >= 0 or l1 == -l2:
+                                continue  # not negative, or a tautology
+                            slots.extend((-l1, -l2, 0))
+                            stats.clauses += 1
+                            if stats.clauses >= check_at:
+                                check_at = limits.check(stats.clauses)
                     continue
+                implied = table.setdefault((a, b), {})
                 for c1, l1 in in_bounds.items():
                     for c2, l2 in out_bounds.items():
-                        l3 = implied_literal(a, b, c1 + c2)
-                        emit((_negate(l1), _negate(l2), l3))
+                        c = c1 + c2
+                        l3 = implied.get(c)
+                        if l3 is None:
+                            # First time this bound is implied: allocate
+                            # (or reuse) its registry variable now.
+                            before = registry.var_count()
+                            l3 = clauses.code(
+                                registry.literal(a, b, c, derived=True)
+                            )
+                            if registry.var_count() > before:
+                                stats.derived_vars += 1
+                            implied[c] = l3
+                            table.setdefault((b, a), {})[-c - 1] = -l3
+                        slots.extend((-l1, -l2, l3))
+                        stats.clauses += 1
+                        if stats.clauses >= check_at:
+                            check_at = limits.check(stats.clauses)
                 if node not in (a, b) and b not in adjacency.get(a, set()):
                     stats.fill_edges += 1
                 adjacency.setdefault(a, set()).add(b)
@@ -226,4 +323,4 @@ def generate_transitivity(
         remaining.discard(node)
         stats.eliminated_nodes += 1
 
-    return clauses
+    return clauses.formulas()

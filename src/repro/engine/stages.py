@@ -59,14 +59,24 @@ __all__ = ["run_eager", "SatRunner"]
 SatRunner = Callable[[Any, SolveRequest, StageRecord, List[int]], Any]
 
 
+#: Each encoder is called with ``F_sep``, the request, and the solve's
+#: deadline (a :func:`time.perf_counter` value, or ``None``), which bounds
+#: transitivity generation the way ``trans_budget`` does.
 _ENCODERS = {
-    "sd": lambda f_sep, req: encode_sd(f_sep, sd_ranges=req.sd_ranges),
-    "eij": lambda f_sep, req: encode_eij(f_sep, trans_budget=req.trans_budget),
-    "static": lambda f_sep, req: encode_static_hybrid(
-        f_sep, trans_budget=req.trans_budget
+    "sd": lambda f_sep, req, deadline: encode_sd(
+        f_sep, sd_ranges=req.sd_ranges
     ),
-    "hybrid": lambda f_sep, req: encode_hybrid(
-        f_sep, sep_thold=req.sep_thold, trans_budget=req.trans_budget
+    "eij": lambda f_sep, req, deadline: encode_eij(
+        f_sep, trans_budget=req.trans_budget, deadline=deadline
+    ),
+    "static": lambda f_sep, req, deadline: encode_static_hybrid(
+        f_sep, trans_budget=req.trans_budget, deadline=deadline
+    ),
+    "hybrid": lambda f_sep, req, deadline: encode_hybrid(
+        f_sep,
+        sep_thold=req.sep_thold,
+        trans_budget=req.trans_budget,
+        deadline=deadline,
     ),
 }
 
@@ -83,6 +93,10 @@ def run_eager(
     derived from them (func-elim + encode + CNF + preprocess, and the
     SAT search) and ``wall_seconds`` covers the whole run, decode
     included.
+
+    ``request.time_limit`` bounds transitivity generation, counted from
+    the start of the run, and the SAT search on its own: the first ends
+    as ``TRANSLATION_LIMIT``, the second as ``UNKNOWN``.
     """
     if method not in _ENCODERS:
         raise ValueError(
@@ -92,6 +106,9 @@ def run_eager(
     clock = StageClock()
     stats = DecisionStats(method=method.upper(), stages=clock.records)
     start = time.perf_counter()
+    deadline = None
+    if request.time_limit is not None:
+        deadline = start + request.time_limit
 
     def outcome(
         status: Status,
@@ -117,7 +134,7 @@ def run_eager(
 
     try:
         with clock.stage("encode") as rec:
-            encoding = _ENCODERS[method](f_sep, request)
+            encoding = _ENCODERS[method](f_sep, request, deadline)
             rec.counters["classes"] = encoding.stats.num_classes
             rec.counters["sd_classes"] = encoding.stats.sd_classes
             rec.counters["eij_classes"] = encoding.stats.eij_classes
@@ -125,6 +142,9 @@ def run_eager(
             rec.counters["trans_clauses"] = encoding.stats.trans_clauses
             rec.counters["sep_count"] = encoding.stats.total_sep_count
     except TransitivityBudgetExceeded as exc:
+        # The paper's translation-stage timeout: the clause budget or the
+        # time limit tripped.  Report how far generation got.
+        rec.counters["trans_clauses"] = exc.clauses
         return outcome(Status.TRANSLATION_LIMIT, detail=str(exc))
 
     with clock.stage("cnf") as rec:

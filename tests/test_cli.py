@@ -1,11 +1,15 @@
 """Tests for the command-line interface."""
 
 import io
+import os
+import subprocess
 import sys
 
 import pytest
 
+from repro.benchgen.suite import benchmark_by_name
 from repro.cli import build_parser, main
+from repro.logic.printer import to_sexpr
 
 
 def run_cli(argv, stdin_text=None):
@@ -70,6 +74,28 @@ class TestCheckCommand:
         path.write_text("(=> (= a b) (= (f a) (f b)))")
         code, out = run_cli(["check", str(path)])
         assert code == 0
+
+    def test_timeout_stops_transitivity_generation(self, tmp_path):
+        # No clause budget is set, so only --timeout can end EIJ's
+        # transitivity blow-up on the invariant family.
+        path = tmp_path / "invariant.suf"
+        path.write_text(
+            to_sexpr(benchmark_by_name("invariant_n12_3").formula)
+        )
+        env = dict(os.environ)
+        src = os.path.join(os.path.dirname(os.path.dirname(__file__)), "src")
+        env["PYTHONPATH"] = src + os.pathsep + env.get("PYTHONPATH", "")
+        out = subprocess.run(
+            [
+                sys.executable, "-m", "repro.cli", "check", str(path),
+                "--timeout", "2",
+            ],
+            capture_output=True,
+            text=True,
+            env=env,
+            timeout=30,
+        )
+        assert "status: TRANSLATION_LIMIT" in out.stdout
 
 
 class TestBenchCommand:

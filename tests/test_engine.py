@@ -11,6 +11,7 @@ from repro.engine import registry
 from repro.engine.base import Engine
 from repro.engine.contract import SolveOutcome, SolveRequest
 from repro.engine.portfolio import _request_from_payload, _request_payload
+from repro.engine.stages import run_eager
 from repro.logic.parser import parse_formula
 from repro.service.cache import ResultCache, solve_cached
 
@@ -161,6 +162,17 @@ class TestStageTelemetry:
             "cnf",
             "sat",
         ]
+
+    def test_translation_limit_keeps_trans_clauses(self):
+        # The tripped budget still reports how far generation got.
+        bench = benchmark_by_name("invariant_n12_3")
+        outcome = run_eager(
+            SolveRequest(formula=bench.formula, trans_budget=1000)
+        )
+        assert outcome.status == Status.TRANSLATION_LIMIT
+        encode = outcome.stages[-1]
+        assert encode.name == "encode"
+        assert encode.counters["trans_clauses"] == 1001
 
     def test_eager_decode_stage_on_invalid(self):
         outcome = registry.get("hybrid").decide(parse_formula(INVALID_F))

@@ -6,7 +6,12 @@ asserted difference bounds have no negative cycle.  This is exactly what
 makes ``F_trans ⟹ F_bvar`` equivalid with the input formula.
 """
 
+import hashlib
+import os
 import random
+import subprocess
+import sys
+import time
 
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -15,10 +20,13 @@ from repro.encodings.sepvars import SepVarRegistry
 from repro.encodings.transitivity import (
     TransitivityBudgetExceeded,
     TransitivityStats,
+    generate_equality_transitivity,
     generate_transitivity,
 )
-from repro.logic.terms import And, Var
+from repro.logic.terms import And, Not, Var
 from repro.theory.difference import check_bounds
+
+SRC = os.path.join(os.path.dirname(os.path.dirname(__file__)), "src")
 
 
 def make_vars(n):
@@ -63,15 +71,20 @@ class TestBasicGeneration:
 
     def test_other_class_vars_ignored(self):
         registry = SepVarRegistry()
-        x, y, u, v = make_vars(4)
+        x, y, z, u, v = make_vars(5)
         registry.literal(x, y, 0)
+        registry.literal(y, z, -1)
+        registry.literal(x, z, 1)
         registry.literal(u, v, 0)
-        clauses = generate_transitivity(registry, [x, y])
-        # No pair inside {x, y} can chain with (u, v).
+        registry.literal(x, u, 2)
+        clauses = generate_transitivity(registry, [x, y, z])
+        assert clauses
+        # No literal of the class {x, y, z} may mention u or v.
         for clause in clauses:
-            for node in clause.children() or [clause]:
-                pass  # structure only; just ensure generation ran
-        assert isinstance(clauses, list)
+            for literal in clause.args:
+                bound = registry.bound_of_literal(literal)
+                assert bound is not None
+                assert not {bound.lhs, bound.rhs} & {u, v}
 
 
 def assignment_consistent(registry, assignment):
@@ -123,3 +136,179 @@ class TestCompleteness:
             # Consistent assignments extend to satisfy F_trans;
             # inconsistent ones must violate it under every extension.
             assert satisfied == consistent
+
+    @settings(max_examples=60, deadline=None)
+    @given(seed=st.integers(0, 100_000))
+    def test_no_clause_repeats(self, seed):
+        # Why neither generator needs a seen-clause set.
+        rng = random.Random(seed)
+        vars_ = make_vars(rng.randint(3, 8))
+        registry = SepVarRegistry()
+        for _ in range(rng.randint(1, 16)):
+            a, c = rng.sample(vars_, 2)
+            if rng.random() < 0.5:
+                registry.eq_var(a, c)
+            registry.literal(a, c, rng.randint(-3, 3))
+        for generate in (generate_transitivity, generate_equality_transitivity):
+            clauses = generate(registry, vars_, budget=20_000)
+            assert len({frozenset(c.args) for c in clauses}) == len(clauses)
+
+
+def _pinned_registry(kind, tag, seed, n, count, spread=0):
+    """``count`` random bounds (``kind == "diff"``) or equalities over
+    ``n`` constants whose names no other test uses, so their uids follow
+    creation order and the generated clauses are the same in any run."""
+    rng = random.Random(seed)
+    vars_ = [Var("%s_%d" % (tag, i)) for i in range(n)]
+    registry = SepVarRegistry()
+    for _ in range(count):
+        a, b = rng.sample(vars_, 2)
+        if kind == "diff":
+            registry.literal(a, b, rng.randint(-spread, spread))
+        else:
+            registry.eq_var(a, b)
+    return registry, vars_
+
+
+def _clause_text(clause):
+    """``clause`` as its literals' variable names, ``~`` marking negation
+    (registry names contain ``|``, which the s-expression printer cannot
+    quote)."""
+    return " ".join(
+        "~" + literal.arg.name if isinstance(literal, Not) else literal.name
+        for literal in clause.args
+    )
+
+
+#: (kind, registry arguments, class size, SHA-256 of the clause list
+#: printed one clause a line, TransitivityStats fields): the exact output
+#: that F_trans and the CNF depend on.  The class is the first
+#: ``class size`` constants, so the two ``-subset`` cases also pin the
+#: filtering of pairs with a constant outside the class.
+PINNED = [
+    pytest.param(
+        "diff", ("pin_dA", 11, 9, 16, 3), 9,
+        "f57980f4695672fe3c51b1e8d984be5a21632292293572b40ceb70560893e5d2",
+        (1717, 94, 8, 3), id="difference",
+    ),
+    pytest.param(
+        "diff", ("pin_dB", 15, 10, 22, 2), 8,
+        "5f1f32ae1a2b5db18000715e4f770ebed7353f1844ea6c903d999d37e944a35e",
+        (423, 45, 8, 3), id="difference-subset",
+    ),
+    pytest.param(
+        "eq", ("pin_eA", 13, 20, 45), 20,
+        "eadc3687a80e378e49b185a23ffd75f54272321137ce00aae82c12950a81b91b",
+        (240, 0, 20, 18), id="equality",
+    ),
+    pytest.param(
+        "eq", ("pin_eB", 14, 24, 60), 20,
+        "21f1616449c403daa22273699b46554ed4088156018198b2195e2ad63146f0ec",
+        (216, 0, 19, 20), id="equality-subset",
+    ),
+]
+
+
+def _run_pinned(kind, args, size, **kwargs):
+    registry, vars_ = _pinned_registry(kind, *args)
+    generate = (
+        generate_transitivity if kind == "diff"
+        else generate_equality_transitivity
+    )
+    return generate(registry, vars_[:size], **kwargs)
+
+
+class TestPinnedOutput:
+    """The generators' clause lists, in order, and their statistics."""
+
+    @pytest.mark.parametrize("kind,args,size,digest,fields", PINNED)
+    def test_clauses_and_stats(self, kind, args, size, digest, fields):
+        stats = TransitivityStats()
+        clauses = _run_pinned(kind, args, size, stats=stats)
+        text = "\n".join(_clause_text(clause) for clause in clauses)
+        # repro: ignore[RD204] -- compared with a pinned value, never stored
+        assert hashlib.sha256(text.encode()).hexdigest() == digest
+        assert (
+            stats.clauses,
+            stats.derived_vars,
+            stats.eliminated_nodes,
+            stats.fill_edges,
+        ) == fields
+
+    @pytest.mark.parametrize("kind,args,size,digest,fields", PINNED)
+    def test_budget_boundary(self, kind, args, size, digest, fields):
+        n = fields[0]
+        assert len(_run_pinned(kind, args, size, budget=n)) == n
+        with pytest.raises(TransitivityBudgetExceeded) as info:
+            _run_pinned(kind, args, size, budget=n - 1)
+        if kind == "diff":
+            assert info.value.clauses == n
+
+
+class TestDeadline:
+    @pytest.mark.parametrize("kind,args,size,digest,fields", PINNED)
+    def test_far_deadline_changes_nothing(
+        self, kind, args, size, digest, fields
+    ):
+        far = time.perf_counter() + 3600
+        assert _run_pinned(kind, args, size, deadline=far) == _run_pinned(
+            kind, args, size
+        )
+
+    def test_passed_deadline_trips_after_a_stride(self):
+        # The clock is read every 1024 clauses, not before the first.
+        with pytest.raises(TransitivityBudgetExceeded) as info:
+            _run_pinned(
+                "diff", ("pin_dA", 11, 9, 16, 3), 9,
+                deadline=time.perf_counter(),
+            )
+        assert info.value.clauses == 1024
+        assert "time limit" in str(info.value)
+
+    def test_equality_deadline(self):
+        vars_ = [Var("pin_eq_deadline_%d" % i) for i in range(24)]
+        registry = SepVarRegistry()
+        for i, a in enumerate(vars_):
+            for b in vars_[i + 1:]:
+                registry.eq_var(a, b)
+        with pytest.raises(TransitivityBudgetExceeded) as info:
+            generate_equality_transitivity(
+                registry, vars_, deadline=time.perf_counter()
+            )
+        assert info.value.clauses == 1026  # whole triangles of 3 clauses
+        assert "time limit" in str(info.value)
+
+
+class TestBudgetTrip:
+    def test_tripped_budget_interns_few_nodes(self):
+        # A fresh interpreter, so the growth is not hidden by nodes other
+        # tests already interned.  Building the clause formulas of a
+        # class that then trips the budget would intern one Or per clause.
+        script = (
+            "from repro.benchgen.suite import benchmark_by_name\n"
+            "from repro.encodings.hybrid import encode_hybrid\n"
+            "from repro.encodings.transitivity import "
+            "TransitivityBudgetExceeded\n"
+            "from repro.logic.terms import intern_cache_size\n"
+            "from repro.transform.func_elim import eliminate_applications\n"
+            "bench = benchmark_by_name('invariant_n10_1')\n"
+            "f_sep, _ = eliminate_applications(bench.formula)\n"
+            "before = intern_cache_size()\n"
+            "try:\n"
+            "    encode_hybrid(f_sep, trans_budget=20000)\n"
+            "except TransitivityBudgetExceeded as exc:\n"
+            "    print(exc.clauses, intern_cache_size() - before)\n"
+        )
+        env = dict(os.environ)
+        env["PYTHONPATH"] = SRC + os.pathsep + env.get("PYTHONPATH", "")
+        out = subprocess.run(
+            [sys.executable, "-c", script],
+            capture_output=True,
+            text=True,
+            check=True,
+            env=env,
+            timeout=120,
+        )
+        clauses, growth = map(int, out.stdout.split())
+        assert clauses == 20001
+        assert growth < 2000

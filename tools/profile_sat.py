@@ -1,5 +1,5 @@
 #!/usr/bin/env python
-"""cProfile runner for the SAT core (``make profile``).
+"""cProfile runner for one SAT instance or suite query (``make profile``).
 
 Solves one generated CNF instance (named as in
 ``repro.benchgen.cnf.cnf_instance``: ``r3_<vars>_<clauses>_s<seed>`` or
@@ -7,6 +7,13 @@ Solves one generated CNF instance (named as in
 by internal time — the profile-first loop the arena refactor was tuned
 with.  The hot loop should be dominated by ``_propagate``; anything
 else rising to the top is the next target.
+
+A suite benchmark name (``repro suite`` lists them, e.g. ``driver_s3_1``
+or ``invariant_n10_1``) profiles that valid query end to end instead:
+the eager pipeline (``run_eager``: func-elim, encode, cnf, preprocess,
+sat, decode) with HYBRID at SEP_THOLD 100 and a 100 000-clause
+transitivity budget, the settings EXPERIMENTS.md reports.  The status
+and every stage record are printed before the profile table.
 
 With ``--cube`` the same instance is solved by the cube-and-conquer
 conductor instead: the conductor (cube generation, scheduling, clause
@@ -32,6 +39,35 @@ import pstats
 import shutil
 import sys
 import tempfile
+
+#: HYBRID's threshold and the transitivity clause budget for suite queries.
+SUITE_SEP_THOLD = 100
+SUITE_TRANS_BUDGET = 100_000
+
+
+def _profile_suite(bench, args) -> int:
+    """Profile the eager pipeline on one suite query; print its stages."""
+    from repro.engine.contract import SolveRequest
+    from repro.engine.stages import run_eager
+
+    request = SolveRequest(
+        formula=bench.formula,
+        sep_thold=SUITE_SEP_THOLD,
+        trans_budget=SUITE_TRANS_BUDGET,
+    )
+    profiler = cProfile.Profile()
+    profiler.enable()
+    outcome = run_eager(request, method="hybrid")
+    profiler.disable()
+    print(
+        "hybrid on %s (SEP_THOLD %d, budget %d)"
+        % (args.instance, SUITE_SEP_THOLD, SUITE_TRANS_BUDGET)
+    )
+    print("status: %s" % outcome.status)
+    for record in outcome.stats.stages:
+        print("  %s" % record.describe())
+    pstats.Stats(profiler).sort_stats(args.sort).print_stats(args.limit)
+    return 0
 
 
 def _profile_cube(cnf, args) -> int:
@@ -89,7 +125,10 @@ def main(argv=None) -> int:
         "instance",
         nargs="?",
         default="r3_190_808_s19",
-        help="CNF instance name (default r3_190_808_s19)",
+        help=(
+            "CNF instance name (default r3_190_808_s19) or suite "
+            "benchmark name"
+        ),
     )
     parser.add_argument(
         "--cube",
@@ -122,12 +161,27 @@ def main(argv=None) -> int:
     args = parser.parse_args(argv)
 
     from repro.benchgen.cnf import cnf_instance
+    from repro.benchgen.suite import benchmark_by_name
     from repro.sat.solver import CdclSolver
+
+    bench = benchmark_by_name(args.instance)
+    if bench is not None:
+        if args.cube:
+            print(
+                "profile: --cube takes a CNF instance name, not the suite "
+                "query %r" % args.instance,
+                file=sys.stderr,
+            )
+            return 2
+        return _profile_suite(bench, args)
 
     try:
         cnf = cnf_instance(args.instance)
     except ValueError as exc:
-        print("profile: %s" % exc, file=sys.stderr)
+        print(
+            "profile: %s; nor is it a suite benchmark name" % exc,
+            file=sys.stderr,
+        )
         return 2
 
     if args.cube:
