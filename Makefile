@@ -1,7 +1,7 @@
 PYTHON ?= python
 PYTHONPATH := src
 
-.PHONY: test lint typecheck analyze analyze-baseline sarif fuzz fuzz-smoke compete-smoke profile coverage ci clean
+.PHONY: test lint typecheck analyze analyze-baseline sarif fuzz fuzz-smoke compete-smoke examples profile coverage ci clean
 
 test:
 	PYTHONPATH=$(PYTHONPATH) $(PYTHON) -m pytest -x -q
@@ -64,6 +64,14 @@ compete-smoke:
 		--methods hybrid,portfolio --timeout 30 --fail-on-error \
 		--out compete-report.json
 
+# Run every script in examples/ end to end; each asserts its own
+# verdicts (about 40 s, most of it encoding_comparison).
+examples:
+	@set -e; for script in examples/*.py; do \
+		echo "== $$script"; \
+		PYTHONPATH=$(PYTHONPATH) $(PYTHON) $$script; \
+	done
+
 # cProfile one generated CNF instance or one suite query end to end
 # (PROFILE_ARGS picks instance/flags, e.g. make profile
 # PROFILE_ARGS="php_9_8 --cube" or PROFILE_ARGS="invariant_n13_4").
@@ -89,11 +97,11 @@ fuzz-smoke:
 
 # Every step of .github/workflows/ci.yml that runs without extra
 # packages: static analysis (plus ruff and mypy when installed), tier-1
-# tests, fuzz smoke and compete smoke.  Three steps stay CI-only: the
+# tests, fuzz smoke, compete smoke and the examples.  Three steps stay CI-only: the
 # coverage gate (needs pytest-cov), the SARIF log (an upload artifact),
 # and the perfbench-tests job (python3 -m pytest perfbench/tests, about
 # 3 minutes).
-ci: lint typecheck test fuzz-smoke compete-smoke
+ci: lint typecheck test fuzz-smoke compete-smoke examples
 
 clean:
 	rm -rf fuzz-failures .pytest_cache .hypothesis .compete-benchgen \

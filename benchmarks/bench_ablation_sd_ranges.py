@@ -36,7 +36,7 @@ def test_sd_range_allocation(benchmark, bench, ranges):
             bench.formula,
             method="sd",
             sd_ranges=ranges,
-            sat_time_limit=DEFAULT_TIMEOUT,
+            time_limit=DEFAULT_TIMEOUT,
             want_countermodel=False,
         )
 

@@ -4,14 +4,15 @@ The paper selects the default threshold by clustering the normalized EIJ
 run-times of the 16-benchmark sample and rounding the boundary benchmark's
 separation-predicate count up to a multiple of 100 (their sample: n_k=676,
 threshold 700).  This benchmark reruns the procedure on this repository's
-sample and asserts the calibrated constant the experiments use.
+sample and asserts the default every solve uses (``DEFAULT_SEP_THOLD``).
 
 Run:  pytest benchmarks/bench_threshold_selection.py --benchmark-only -q
 """
 
 import pytest
 
-from repro.experiments.runner import CALIBRATED_SEP_THOLD, DEFAULT_TIMEOUT
+from repro.encodings.hybrid import DEFAULT_SEP_THOLD
+from repro.experiments.runner import DEFAULT_TIMEOUT
 from repro.experiments.threshold_exp import run_threshold_selection
 
 
@@ -30,13 +31,13 @@ def test_threshold_selection(benchmark, capsys):
     with capsys.disabled():
         print(
             "\nTHOLD summary: boundary n_k=%d -> SEP_THOLD=%d "
-            "(paper: n_k=676 -> 700 on its own suite; calibrated "
-            "constant in use: %d)"
+            "(paper: n_k=676 -> 700 on its own suite; default in "
+            "use: %d)"
             % (
                 selection.boundary_sep_count,
                 selection.threshold,
-                CALIBRATED_SEP_THOLD,
+                DEFAULT_SEP_THOLD,
             )
         )
-    # The auto-selected value must match what the experiments hard-code.
-    assert selection.threshold == CALIBRATED_SEP_THOLD
+    # The auto-selected value must match the default every solve uses.
+    assert selection.threshold == DEFAULT_SEP_THOLD

@@ -6,20 +6,15 @@ benchmark × procedure), and a summary of the figure-level claim is printed
 at the end of the module's run.
 
 Every decision run uses the same resource budgets as the experiment
-harness (20 s SAT budget, 100k transitivity-clause budget); timed-out runs
-are recorded via the ``timeout_seconds`` extra-info field rather than
-failing the benchmark.
+harness (its 20 s time limit and ``SolveRequest``'s default
+transitivity-clause budget); timed-out runs are recorded via the
+``status`` extra-info field rather than failing the benchmark.
 """
 
 import pytest
 
 from repro.benchgen.base import Benchmark
-from repro.experiments.runner import (
-    CALIBRATED_SEP_THOLD,
-    DEFAULT_TIMEOUT,
-    DEFAULT_TRANS_BUDGET,
-    run_benchmark,
-)
+from repro.experiments.runner import DEFAULT_TIMEOUT, run_benchmark
 
 
 def decide_once(benchmark, bench: Benchmark, procedure: str, **kw):

@@ -22,7 +22,7 @@ def describe_hybrid_choice(formula) -> str:
 
     f_sep, _ = eliminate_applications(formula)
     try:
-        encoding = encode_hybrid(f_sep, sep_thold=100, trans_budget=100_000)
+        encoding = encode_hybrid(f_sep)
     except TransitivityBudgetExceeded:
         return "translation blows up"
     sd = sum(1 for m in encoding.method_of_class.values() if m == "SD")
@@ -49,9 +49,7 @@ def main() -> None:
             result = check_validity(
                 bench.formula,
                 method=method,
-                sep_thold=100,  # the suite-calibrated default (see docs)
-                trans_budget=100_000,
-                sat_time_limit=20.0,
+                time_limit=20.0,
                 want_countermodel=False,
             )
             if result.valid is None:

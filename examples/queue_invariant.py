@@ -32,9 +32,7 @@ def main() -> None:
         biggest = max(len(c.vars) for c in analysis.classes)
 
         sd = check_validity(bench.formula, method="sd")
-        eij = check_validity(
-            bench.formula, method="eij", trans_budget=100_000
-        )
+        eij = check_validity(bench.formula, method="eij")
         assert sd.valid
         eij_time = (
             "%.3fs" % eij.stats.total_seconds

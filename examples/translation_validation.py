@@ -48,7 +48,7 @@ def main() -> None:
     print("\ngenerated obligations:")
     for size in (2, 3, 4):
         bench = make_transval(size=size, inputs=4, seed=size)
-        result = check_validity(bench.formula, sep_thold=100)
+        result = check_validity(bench.formula)
         assert result.valid
         print(
             "  size=%d: %d DAG nodes, %-7s %.3fs"
@@ -64,7 +64,7 @@ def main() -> None:
     # Miscompilation: the dropped +1 is caught with a concrete input.
     # ------------------------------------------------------------------
     bad = make_transval(size=3, inputs=3, seed=11, valid=False)
-    result = check_validity(bad.formula, sep_thold=100)
+    result = check_validity(bad.formula)
     assert not result.valid
     model = result.counterexample
     inputs = {

@@ -56,6 +56,7 @@ from typing import Callable, List, Optional, TypeVar
 from . import experiments
 from .benchgen.suite import benchmark_by_name, suite
 from .core.status import Status
+from .encodings.hybrid import DEFAULT_SEP_THOLD
 from .engine import registry
 from .engine.contract import SolveOutcome, SolveRequest
 from .logic.parser import parse_formula
@@ -93,7 +94,7 @@ def build_parser() -> argparse.ArgumentParser:
         help="input syntax; auto uses smtlib for .smt2 files or scripts "
         "starting with an SMT-LIB command",
     )
-    check.add_argument("--sep-thold", type=int, default=700)
+    check.add_argument("--sep-thold", type=int, default=DEFAULT_SEP_THOLD)
     check.add_argument(
         "--sd-ranges",
         choices=["uniform", "ascending"],
@@ -211,8 +212,8 @@ def build_parser() -> argparse.ArgumentParser:
         help="per-instance wall-clock budget (default 10)",
     )
     compete.add_argument(
-        "--sep-thold", type=int, default=None, metavar="N",
-        help="SEP_THOLD override passed to every solve",
+        "--sep-thold", type=int, default=DEFAULT_SEP_THOLD, metavar="N",
+        help="SEP_THOLD passed to every solve (default %(default)s)",
     )
     compete.add_argument(
         "--out",
@@ -316,7 +317,7 @@ def build_parser() -> argparse.ArgumentParser:
         help="a formula file (or -) for separation analysis; "
         "directories or .py files for the lint suite",
     )
-    analyze.add_argument("--sep-thold", type=int, default=700)
+    analyze.add_argument("--sep-thold", type=int, default=DEFAULT_SEP_THOLD)
     analyze.add_argument(
         "--format",
         choices=["human", "json", "sarif"],
@@ -541,6 +542,8 @@ def _cmd_check(args) -> int:
         }.get(result.status, "unknown")
         print(verdict)
     print("status: %s" % result.status)
+    if not result.decided and result.detail:
+        print("detail: %s" % result.detail)
     print(
         "time: %.3fs (encode %.3fs, search %.3fs)"
         % (
@@ -910,16 +913,13 @@ def _cmd_analyze_lint(args) -> int:
 
 
 def _cmd_analyze_formula(args) -> int:
-    from .encodings.hybrid import encode_hybrid
+    from .encodings.hybrid import choose_method
     from .separation.analysis import analyze_separation
     from .transform.func_elim import eliminate_applications
 
     formula = _read_input(args.paths[0], parse_formula)
     f_sep, info = eliminate_applications(formula)
     analysis = analyze_separation(f_sep)
-    encoding = encode_hybrid(
-        f_sep, sep_thold=args.sep_thold, analysis=analysis
-    )
     fresh = len(info.fresh_func_vars()) + len(info.fresh_pred_vars())
     print("fresh constants from UF/UP elimination: %d" % fresh)
     print(
@@ -943,7 +943,7 @@ def _cmd_analyze_formula(args) -> int:
                 vclass.range_size,
                 vclass.max_span,
                 "+".join(kind) if kind else "equalities only",
-                encoding.method_of_class[vclass.index],
+                choose_method(vclass, args.sep_thold),
             )
         )
     print(

@@ -22,10 +22,10 @@ and SVC baselines, and incremental sessions.
 
 from __future__ import annotations
 
-from typing import Any, Dict, Optional
+from typing import Any, Dict
 
 from ..encodings.bitvector import bv_value
-from ..encodings.hybrid import DEFAULT_SEP_THOLD, Encoding
+from ..encodings.hybrid import Encoding
 from ..logic.semantics import Interpretation, evaluate_term
 from ..logic.terms import BoolVar, Formula, Not
 from ..logic.traversal import (
@@ -47,64 +47,27 @@ __all__ = [
     "lift_countermodel",
 ]
 
-METHODS = ("sd", "eij", "hybrid", "static")
-
 
 def check_validity(
-    formula: Formula,
-    method: str = "hybrid",
-    sep_thold: int = DEFAULT_SEP_THOLD,
-    trans_budget: Optional[int] = None,
-    sat_time_limit: Optional[float] = None,
-    sat_conflict_limit: Optional[int] = None,
-    want_countermodel: bool = True,
-    sd_ranges: str = "uniform",
+    formula: Formula, method: str = "hybrid", **fields: Any
 ) -> SolveOutcome:
     """Decide whether a SUF formula is valid.
 
-    Parameters
-    ----------
-    formula:
-        The SUF formula (see :mod:`repro.logic.builders`).
-    method:
-        ``"hybrid"`` (the paper's contribution), ``"sd"`` or ``"eij"``.
-    sep_thold:
-        HYBRID's ``SEP_THOLD`` (ignored by the other methods).
-    trans_budget:
-        Optional cap on transitivity clauses for EIJ-encoded classes; when
-        exceeded, the result status is ``TRANSLATION_LIMIT`` (this is how
-        the experiments model the paper's EIJ translation-stage timeouts).
-    sat_time_limit / sat_conflict_limit:
-        Resource limits for the SAT search (status ``UNKNOWN`` when hit).
-        The time limit, counted from the start of the run, also bounds
-        transitivity generation (status ``TRANSLATION_LIMIT`` when hit
-        there).
-    sd_ranges:
-        ``"uniform"`` uses the paper's per-class window for SD domains;
-        ``"ascending"`` applies the tighter Pnueli-et-al. allocation to
-        equality-only classes (only affects the ``sd`` method).
+    ``method`` is ``"hybrid"`` (the paper's contribution), ``"sd"``,
+    ``"eij"`` or ``"static"``.  ``fields`` are
+    :class:`~repro.engine.contract.SolveRequest` fields, such as
+    ``sep_thold`` or ``time_limit``; unset ones take the request's
+    defaults.  A tripped transitivity budget or time limit during
+    encoding gives ``TRANSLATION_LIMIT``, a tripped limit in the SAT
+    search ``UNKNOWN``.
     """
-    if method not in METHODS:
-        raise ValueError("unknown method %r; expected one of %r" % (method, METHODS))
-
     # Deferred import: repro.engine builds on this module (it reuses the
     # decoding helpers below), so the dependency must not be circular at
     # import time.
     from ..engine.contract import SolveRequest
     from ..engine.stages import run_eager
 
-    return run_eager(
-        SolveRequest(
-            formula=formula,
-            sep_thold=sep_thold,
-            trans_budget=trans_budget,
-            time_limit=sat_time_limit,
-            conflict_limit=sat_conflict_limit,
-            want_countermodel=want_countermodel,
-            sd_ranges=sd_ranges,
-        ),
-        method=method,
-    )
+    return run_eager(SolveRequest(formula=formula, **fields), method=method)
 
 
 def boolvar_model(cnf: Cnf, model: Dict[int, bool]) -> Dict[BoolVar, bool]:

@@ -34,6 +34,7 @@ from dataclasses import dataclass, field
 from typing import Any, Dict, List, Optional, Tuple
 
 from ..core.status import Status
+from ..encodings.hybrid import DEFAULT_SEP_THOLD
 from ..logic.smtlib import (
     SmtLibError,
     SmtScript,
@@ -66,7 +67,7 @@ class CompeteConfig:
     roots: List[str]
     methods: List[str] = field(default_factory=lambda: ["hybrid"])
     timeout: float = DEFAULT_TIMEOUT
-    sep_thold: Optional[int] = None
+    sep_thold: int = DEFAULT_SEP_THOLD
     fail_on_error: bool = False
 
 
@@ -139,17 +140,15 @@ def _solve_instance(
     method: str,
     formula: Formula,
     timeout: float,
-    sep_thold: Optional[int],
+    sep_thold: int,
 ) -> Tuple[str, float, str]:
     """``(verdict, wall_seconds, detail)`` for one engine run."""
-    request_kwargs: Dict[str, Any] = dict(
-        formula=formula, time_limit=timeout
+    request = SolveRequest(
+        formula=formula, time_limit=timeout, sep_thold=sep_thold
     )
-    if sep_thold is not None:
-        request_kwargs["sep_thold"] = sep_thold
     started = time.perf_counter()
     try:
-        outcome = registry.get(method).solve(SolveRequest(**request_kwargs))
+        outcome = registry.get(method).solve(request)
     except Exception as exc:  # an engine crash is a result, not an abort
         wall = time.perf_counter() - started
         return "error", wall, "%s: %s" % (type(exc).__name__, exc)

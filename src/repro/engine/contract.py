@@ -15,7 +15,7 @@ from dataclasses import dataclass, field
 from typing import Any, Dict, Optional
 
 from ..core.result import SolveOutcome
-from ..encodings.hybrid import DEFAULT_SEP_THOLD
+from ..encodings.hybrid import DEFAULT_SEP_THOLD, DEFAULT_TRANS_BUDGET
 from ..logic.terms import Formula
 
 __all__ = ["SolveRequest", "SolveOutcome"]
@@ -43,7 +43,7 @@ class SolveRequest:
     time_limit: Optional[float] = None
     conflict_limit: Optional[int] = None
     sep_thold: int = DEFAULT_SEP_THOLD
-    trans_budget: Optional[int] = None
+    trans_budget: int = DEFAULT_TRANS_BUDGET
     sd_ranges: str = "uniform"
     #: Run the SatELite-style CNF simplifier between CNF generation and
     #: the SAT search (eager engines only; ``repro check --no-preprocess``

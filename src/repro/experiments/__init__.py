@@ -5,7 +5,7 @@ Each module maps to one artifact (see DESIGN.md's experiment index):
 * ``fig2`` — encoding effect on SAT behaviour (Figure 2 table);
 * ``fig3`` — separation-predicate count vs normalized time (Figure 3);
 * ``fig4`` — HYBRID vs SD/EIJ, non-invariant benchmarks (Figure 4);
-* ``fig5`` — invariant-checking benchmarks, SEP_THOLD=100 (Figure 5);
+* ``fig5`` — invariant-checking benchmarks, lowered SEP_THOLD (Figure 5);
 * ``fig6`` — HYBRID vs SVC-style/CVC-style baselines (Figure 6);
 * ``threshold_exp`` — automatic SEP_THOLD selection (§4.1);
 * ``ablation`` — threshold sweep and static-hybrid comparison (ours).
@@ -13,9 +13,7 @@ Each module maps to one artifact (see DESIGN.md's experiment index):
 
 from . import ablation, fig2, fig3, fig4, fig5, fig6, threshold_exp
 from .runner import (
-    CALIBRATED_SEP_THOLD,
     DEFAULT_TIMEOUT,
-    DEFAULT_TRANS_BUDGET,
     PROCEDURES,
     RunRow,
     run_benchmark,
@@ -30,9 +28,7 @@ __all__ = [
     "fig5",
     "fig6",
     "threshold_exp",
-    "CALIBRATED_SEP_THOLD",
     "DEFAULT_TIMEOUT",
-    "DEFAULT_TRANS_BUDGET",
     "PROCEDURES",
     "RunRow",
     "run_benchmark",

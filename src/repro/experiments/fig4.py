@@ -2,8 +2,9 @@
 
 Scatter with HYBRID's total time on the x-axis and the competitor's on the
 y-axis: points above the diagonal are HYBRID wins.  The paper's findings:
-HYBRID (default SEP_THOLD = 700) completes on everything, SD and EIJ each
-time out on some benchmarks, and HYBRID is 4–8× faster on several.
+HYBRID (default SEP_THOLD: 700 on the paper's suite, ``DEFAULT_SEP_THOLD``
+here) completes on everything, SD and EIJ each time out on some
+benchmarks, and HYBRID is 4–8× faster on several.
 """
 
 from __future__ import annotations

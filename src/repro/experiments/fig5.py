@@ -20,8 +20,8 @@ from .runner import DEFAULT_TIMEOUT, RunRow, run_benchmark
 __all__ = ["Fig5Row", "run_fig5", "render_fig5"]
 
 #: The paper lowers SEP_THOLD from its default (700 on their suite) to 100
-#: for this figure.  Our calibrated default is 100 (see runner), so the
-#: proportionally lowered value is 30.
+#: for this figure.  Our default is 100 (``DEFAULT_SEP_THOLD``, re-derived
+#: on our suite), so the proportionally lowered value is 30.
 FIG5_SEP_THOLD = 30
 
 
@@ -29,7 +29,7 @@ FIG5_SEP_THOLD = 30
 class Fig5Row:
     benchmark: str
     hybrid: RunRow  # at the lowered FIG5_SEP_THOLD
-    hybrid_default: RunRow  # at the calibrated default threshold
+    hybrid_default: RunRow  # at the default threshold
     sd: RunRow
     eij: RunRow
 
@@ -43,7 +43,7 @@ def run_fig5(timeout: float = DEFAULT_TIMEOUT) -> List[Fig5Row]:
                 hybrid=run_benchmark(
                     bench, "HYBRID", timeout, sep_thold=FIG5_SEP_THOLD
                 ),
-                hybrid_default=run_benchmark(bench, "HYBRID", timeout),  # calibrated default
+                hybrid_default=run_benchmark(bench, "HYBRID", timeout),
                 sd=run_benchmark(bench, "SD", timeout),
                 eij=run_benchmark(bench, "EIJ", timeout),
             )

@@ -25,22 +25,10 @@ __all__ = [
     "run_suite",
     "PROCEDURES",
     "DEFAULT_TIMEOUT",
-    "DEFAULT_TRANS_BUDGET",
-    "CALIBRATED_SEP_THOLD",
 ]
 
 #: Default wall-clock budget per (benchmark, procedure) run, seconds.
 DEFAULT_TIMEOUT = 20.0
-
-#: Default transitivity-clause budget emulating EIJ translation blow-up.
-DEFAULT_TRANS_BUDGET = 100_000
-
-#: SEP_THOLD produced by the paper's §4.1 auto-selection run on *this*
-#: repository's 16-benchmark sample (see ``threshold_exp``).  The paper's
-#: own suite yielded 700; the constant is suite-relative by design ("a
-#: user can determine a default SEP_THOLD by using a similar statistical
-#: technique on all formulas from a relevant domain").
-CALIBRATED_SEP_THOLD = 100
 
 
 @dataclass
@@ -75,17 +63,17 @@ def _run_engine(
 ) -> SolveOutcome:
     """Resolve ``engine`` through the registry and decide the benchmark.
 
-    ``kw`` carries the experiment knobs: ``trans_budget`` / ``sep_thold``
-    for the eager encodings, engine-specific limits via ``options``.
+    ``kw`` are :class:`SolveRequest` fields, the experiment knobs:
+    ``sep_thold`` / ``trans_budget`` for the eager encodings,
+    engine-specific limits via ``options``.  Unset ones take the
+    request's defaults.
     """
     return registry.get(engine).solve(
         SolveRequest(
             formula=bench.formula,
             time_limit=timeout,
-            trans_budget=kw.get("trans_budget", DEFAULT_TRANS_BUDGET),
-            sep_thold=kw.get("sep_thold", CALIBRATED_SEP_THOLD),
             want_countermodel=False,
-            options=kw.get("options", {}),
+            **kw,
         )
     )
 

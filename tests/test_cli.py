@@ -9,6 +9,7 @@ import pytest
 
 from repro.benchgen.suite import benchmark_by_name
 from repro.cli import build_parser, main
+from repro.encodings.hybrid import DEFAULT_SEP_THOLD, DEFAULT_TRANS_BUDGET
 from repro.logic.printer import to_sexpr
 
 
@@ -26,6 +27,24 @@ def run_cli(argv, stdin_text=None):
         sys.stdin = old_stdin
 
 
+def run_cli_on_suite_query(tmp_path, name, *argv):
+    """Run ``repro ARGV[0] FILE ARGV[1:]`` in a fresh interpreter on the
+    suite query ``name``; a hang fails the test after 30 s."""
+    path = tmp_path / (name + ".suf")
+    path.write_text(to_sexpr(benchmark_by_name(name).formula))
+    env = dict(os.environ)
+    src = os.path.join(os.path.dirname(os.path.dirname(__file__)), "src")
+    env["PYTHONPATH"] = src + os.pathsep + env.get("PYTHONPATH", "")
+    command, *flags = argv
+    return subprocess.run(
+        [sys.executable, "-m", "repro.cli", command, str(path), *flags],
+        capture_output=True,
+        text=True,
+        env=env,
+        timeout=30,
+    ).stdout
+
+
 class TestParser:
     def test_requires_command(self):
         with pytest.raises(SystemExit):
@@ -34,7 +53,7 @@ class TestParser:
     def test_check_defaults(self):
         args = build_parser().parse_args(["check", "file.suf"])
         assert args.method == "hybrid"
-        assert args.sep_thold == 700
+        assert args.sep_thold == DEFAULT_SEP_THOLD
 
 
 class TestCheckCommand:
@@ -75,27 +94,39 @@ class TestCheckCommand:
         code, out = run_cli(["check", str(path)])
         assert code == 0
 
+    @pytest.mark.parametrize(
+        "name,status",
+        [
+            ("ooo_t16_7", "VALID"),
+            ("driver_s12_5", "VALID"),
+            ("invariant_n12_3", "TRANSLATION_LIMIT"),
+        ],
+    )
+    def test_no_flags_never_hang(self, tmp_path, name, status):
+        out = run_cli_on_suite_query(tmp_path, name, "check")
+        assert "status: %s\n" % status in out
+        if status == "TRANSLATION_LIMIT":
+            # The default clause budget stopped transitivity generation,
+            # and the output says so.
+            assert "budget %d" % DEFAULT_TRANS_BUDGET in out
+            assert "\ndetail: " in out
+
     def test_timeout_stops_transitivity_generation(self, tmp_path):
-        # No clause budget is set, so only --timeout can end EIJ's
-        # transitivity blow-up on the invariant family.
-        path = tmp_path / "invariant.suf"
-        path.write_text(
-            to_sexpr(benchmark_by_name("invariant_n12_3").formula)
+        # The clause budget trips about 0.07 s into invariant_n12_3, so
+        # the time limit must be shorter still to be what stops it: the
+        # generators read the clock every 1 024 clauses, and a budget
+        # trip would report budget + 1.
+        out = run_cli_on_suite_query(
+            tmp_path, "invariant_n12_3", "check", "--timeout", "0.001",
+            "--stats",
         )
-        env = dict(os.environ)
-        src = os.path.join(os.path.dirname(os.path.dirname(__file__)), "src")
-        env["PYTHONPATH"] = src + os.pathsep + env.get("PYTHONPATH", "")
-        out = subprocess.run(
-            [
-                sys.executable, "-m", "repro.cli", "check", str(path),
-                "--timeout", "2",
-            ],
-            capture_output=True,
-            text=True,
-            env=env,
-            timeout=30,
+        assert "status: TRANSLATION_LIMIT" in out
+        assert "exceeded the time limit" in out
+        encode = next(
+            line.split() for line in out.splitlines()
+            if line.split()[:1] == ["encode"]
         )
-        assert "status: TRANSLATION_LIMIT" in out.stdout
+        assert "trans_clauses=1024" in encode
 
 
 class TestBenchCommand:
@@ -143,6 +174,21 @@ class TestAnalyzeCommand:
         )
         assert code == 0
         assert "equalities only" in out
+
+    @pytest.mark.parametrize(
+        "name,class0",
+        [
+            ("invariant_n12_3", ("SepCnt=67,", "-> EIJ")),
+            ("ooo_t16_7", ("SepCnt=135,", "-> SD")),
+        ],
+    )
+    def test_method_choice_without_encoding(self, tmp_path, name, class0):
+        # The per-class choice is the SepCnt rule alone: no transitivity
+        # generation, so neither query hangs.
+        out = run_cli_on_suite_query(tmp_path, name, "analyze")
+        line = next(l for l in out.splitlines() if "class 0:" in l)
+        for part in class0:
+            assert part in line
 
 
 class TestSatCommand:

@@ -111,7 +111,7 @@ class TestLimitsAndErrors:
             for i in range(9)
         ])
         result = check_validity(
-            formula, method="sd", sat_conflict_limit=1
+            formula, method="sd", conflict_limit=1
         )
         assert result.status in (
             Status.UNKNOWN,

@@ -1,8 +1,7 @@
 """Smoke tests: the example scripts import cleanly and the quick ones run.
 
-The long-running examples (`encoding_comparison`, `queue_invariant`) are
-only import-checked here; they are exercised manually / by the benchmark
-harness.
+The others are only import-checked here; ``make examples`` (part of
+``make ci`` and of CI's test job) runs all of them end to end.
 """
 
 import importlib.util

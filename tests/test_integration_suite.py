@@ -13,21 +13,12 @@ from repro.benchgen.suite import (
     non_invariant_suite,
 )
 from repro.core import check_validity
-from repro.experiments.runner import (
-    CALIBRATED_SEP_THOLD,
-    DEFAULT_TRANS_BUDGET,
-)
 
 
 def decide(bench, method, **kw):
+    kw.setdefault("time_limit", 30.0)
     return check_validity(
-        bench.formula,
-        method=method,
-        sep_thold=kw.pop("sep_thold", CALIBRATED_SEP_THOLD),
-        trans_budget=DEFAULT_TRANS_BUDGET,
-        sat_time_limit=kw.pop("sat_time_limit", 30.0),
-        want_countermodel=False,
-        **kw,
+        bench.formula, method=method, want_countermodel=False, **kw
     )
 
 

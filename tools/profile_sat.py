@@ -11,9 +11,10 @@ else rising to the top is the next target.
 A suite benchmark name (``repro suite`` lists them, e.g. ``driver_s3_1``
 or ``invariant_n10_1``) profiles that valid query end to end instead:
 the eager pipeline (``run_eager``: func-elim, encode, cnf, preprocess,
-sat, decode) with HYBRID at SEP_THOLD 100 and a 100 000-clause
-transitivity budget, the settings EXPERIMENTS.md reports.  The status
-and every stage record are printed before the profile table.
+sat, decode) with HYBRID under ``SolveRequest``'s default SEP_THOLD and
+transitivity budget, the settings every caller and perfbench run.  The
+settings, the status and every stage record are printed before the
+profile table.
 
 With ``--cube`` the same instance is solved by the cube-and-conquer
 conductor instead: the conductor (cube generation, scheduling, clause
@@ -40,28 +41,20 @@ import shutil
 import sys
 import tempfile
 
-#: HYBRID's threshold and the transitivity clause budget for suite queries.
-SUITE_SEP_THOLD = 100
-SUITE_TRANS_BUDGET = 100_000
-
 
 def _profile_suite(bench, args) -> int:
     """Profile the eager pipeline on one suite query; print its stages."""
     from repro.engine.contract import SolveRequest
     from repro.engine.stages import run_eager
 
-    request = SolveRequest(
-        formula=bench.formula,
-        sep_thold=SUITE_SEP_THOLD,
-        trans_budget=SUITE_TRANS_BUDGET,
-    )
+    request = SolveRequest(formula=bench.formula)
     profiler = cProfile.Profile()
     profiler.enable()
     outcome = run_eager(request, method="hybrid")
     profiler.disable()
     print(
         "hybrid on %s (SEP_THOLD %d, budget %d)"
-        % (args.instance, SUITE_SEP_THOLD, SUITE_TRANS_BUDGET)
+        % (args.instance, request.sep_thold, request.trans_budget)
     )
     print("status: %s" % outcome.status)
     for record in outcome.stats.stages:
