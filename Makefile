@@ -1,7 +1,7 @@
 PYTHON ?= python
 PYTHONPATH := src
 
-.PHONY: test lint typecheck analyze analyze-baseline sarif fuzz fuzz-smoke compete-smoke examples profile coverage ci clean
+.PHONY: test lint typecheck analyze analyze-baseline sarif fuzz fuzz-smoke compete-smoke examples paper-claims profile coverage ci clean
 
 test:
 	PYTHONPATH=$(PYTHONPATH) $(PYTHON) -m pytest -x -q
@@ -72,6 +72,17 @@ examples:
 		PYTHONPATH=$(PYTHONPATH) $(PYTHON) $$script; \
 	done
 
+# The paper claims that depend on HYBRID's rule: Fig. 4 (HYBRID completes
+# on all), Fig. 5 (EIJ and default HYBRID fail every invariant formula,
+# SD completes them) and the SEP_THOLD ablation.  They assert statuses
+# and decided counts, not timings, and print each figure's summary.
+# About 100 s on 2 cores; needs pytest-benchmark.
+paper-claims:
+	PYTHONPATH=$(PYTHONPATH) $(PYTHON) -m pytest -q --benchmark-disable \
+		benchmarks/bench_fig4_hybrid_vs_sd_eij.py \
+		benchmarks/bench_fig5_invariant.py \
+		benchmarks/bench_ablation_threshold.py
+
 # cProfile one generated CNF instance or one suite query end to end
 # (PROFILE_ARGS picks instance/flags, e.g. make profile
 # PROFILE_ARGS="php_9_8 --cube" or PROFILE_ARGS="invariant_n13_4").
@@ -97,11 +108,12 @@ fuzz-smoke:
 
 # Every step of .github/workflows/ci.yml that runs without extra
 # packages: static analysis (plus ruff and mypy when installed), tier-1
-# tests, fuzz smoke, compete smoke and the examples.  Three steps stay CI-only: the
+# tests, fuzz smoke, compete smoke, the examples and the paper claims.
+# Three steps stay CI-only: the
 # coverage gate (needs pytest-cov), the SARIF log (an upload artifact),
 # and the perfbench-tests job (python3 -m pytest perfbench/tests, about
 # 3 minutes).
-ci: lint typecheck test fuzz-smoke compete-smoke examples
+ci: lint typecheck test fuzz-smoke compete-smoke examples paper-claims
 
 clean:
 	rm -rf fuzz-failures .pytest_cache .hypothesis .compete-benchgen \

@@ -913,7 +913,8 @@ def _cmd_analyze_lint(args) -> int:
 
 
 def _cmd_analyze_formula(args) -> int:
-    from .encodings.hybrid import choose_method
+    from .encodings.hybrid import DEFAULT_TRANS_BUDGET, EIJ, choose_method
+    from .encodings.transitivity import equality_clause_bound
     from .separation.analysis import analyze_separation
     from .transform.func_elim import eliminate_applications
 
@@ -933,6 +934,11 @@ def _cmd_analyze_formula(args) -> int:
             kind.append("inequalities")
         if vclass.has_offset:
             kind.append("offsets")
+        method = choose_method(vclass, args.sep_thold, DEFAULT_TRANS_BUDGET)
+        if method == EIJ and vclass.sep_count > args.sep_thold:
+            method += " (transitivity <= %d clauses)" % (
+                equality_clause_bound(len(vclass.vars))
+            )
         print(
             "  class %d: %d constant(s), SepCnt=%d, range=%d, span=%d, "
             "%s -> %s"
@@ -943,7 +949,7 @@ def _cmd_analyze_formula(args) -> int:
                 vclass.range_size,
                 vclass.max_span,
                 "+".join(kind) if kind else "equalities only",
-                choose_method(vclass, args.sep_thold),
+                method,
             )
         )
     print(

@@ -1,12 +1,16 @@
 """The paper's encoders: small-domain (SD), per-constraint (EIJ), HYBRID.
 
 All three are produced by one engine, because the paper defines them that
-way: HYBRID with ``SEP_THOLD = 0`` is SD, and with ``SEP_THOLD = None``
-(infinity) it is EIJ.  The engine follows §4 step by step:
+way: under the paper's rule, HYBRID with ``SEP_THOLD = 0`` is SD, and
+with ``SEP_THOLD = None`` (infinity) it is EIJ.  The engine follows §4
+step by step:
 
 1. run the separation analysis (classes, domains, SepCnt);
-2. for each class, pick the method: ``SD`` when
-   ``SepCnt(Vi) > SEP_THOLD``, else ``EIJ``;
+2. for each class, pick the method (:func:`choose_method`): the paper's
+   rule is ``SD`` when ``SepCnt(Vi) > SEP_THOLD``, else ``EIJ``.
+   :func:`encode_hybrid` also sends an equality-only class above the
+   threshold to ``EIJ`` when its transitivity provably fits the budget;
+   ``paper_rule=True`` (what ``repro experiment`` runs) turns that off;
 3. recurse over the formula structure — Boolean connectives map to
    themselves, atoms are encoded per their class's method:
 
@@ -70,6 +74,7 @@ from .bitvector import (
 from .sepvars import SepVarRegistry
 from .transitivity import (
     TransitivityStats,
+    equality_clause_bound,
     generate_equality_transitivity,
     generate_transitivity,
 )
@@ -98,21 +103,44 @@ __all__ = [
 #: sample gave n_k = 676 -> 700: the value is suite-relative by design.
 DEFAULT_SEP_THOLD = 100
 
-#: Transitivity clauses one formula's EIJ classes may generate before
-#: the encoding gives up as ``TRANSLATION_LIMIT`` — the analogue of the
-#: paper's translation-stage timeouts.
+#: Transitivity clauses each EIJ class may generate before the encoding
+#: gives up as ``TRANSLATION_LIMIT`` — the analogue of the paper's
+#: translation-stage timeouts.  The budget counts per class, so a
+#: formula may generate up to (EIJ classes) x budget clauses in all;
+#: the solve's time limit still bounds the total.
 DEFAULT_TRANS_BUDGET = 100_000
 
 SD = "SD"
 EIJ = "EIJ"
 
 
-def choose_method(vclass: VarClass, sep_thold: Optional[int]) -> str:
-    """HYBRID's rule (§4 step 2): ``SD`` when ``SepCnt(Vi) > SEP_THOLD``,
-    else ``EIJ``; ``sep_thold=None`` is infinity."""
-    if sep_thold is None:
+def _equality_only(vclass: VarClass) -> bool:
+    return not (vclass.has_inequality or vclass.has_offset)
+
+
+def choose_method(
+    vclass: VarClass,
+    sep_thold: Optional[int],
+    trans_budget: Optional[int],
+    paper_rule: bool = False,
+) -> str:
+    """HYBRID's choice of ``SD`` or ``EIJ`` for one class.
+
+    The paper's rule (§4 step 2) is ``SD`` when ``SepCnt(Vi) >
+    SEP_THOLD``, else ``EIJ``; ``sep_thold=None`` is infinity.  SepCnt
+    stands in for the EIJ transitivity blow-up, which an equality-only
+    class (no ``<``, no offset) cannot have: its clauses never exceed
+    :func:`~repro.encodings.transitivity.equality_clause_bound` of its
+    constants.  So unless ``paper_rule``, such a class above the
+    threshold is ``EIJ`` too when that bound fits ``trans_budget``
+    (``None``: no budget), and its generation can never trip the budget.
+    """
+    if sep_thold is None or vclass.sep_count <= sep_thold:
         return EIJ
-    return SD if vclass.sep_count > sep_thold else EIJ
+    if paper_rule or not _equality_only(vclass):
+        return SD
+    bound = equality_clause_bound(len(vclass.vars))
+    return EIJ if trans_budget is None or bound <= trans_budget else SD
 
 
 @dataclass
@@ -124,6 +152,8 @@ class EncodingStats:
     num_classes: int = 0
     sd_classes: int = 0
     eij_classes: int = 0
+    #: EIJ classes above SEP_THOLD: the equality-only bound admitted them.
+    eq_bound_classes: int = 0
     sep_vars: int = 0
     derived_sep_vars: int = 0
     trans_clauses: int = 0
@@ -170,10 +200,12 @@ class _HybridEngine:
         use_eq_vars: bool = True,
         sd_ranges: str = "uniform",
         deadline: Optional[float] = None,
+        paper_rule: bool = True,
     ) -> None:
         self.analysis = analysis
         self.sep_thold = sep_thold
         self.trans_budget = trans_budget
+        self.paper_rule = paper_rule
         self.deadline = deadline
         self.generate_trans = generate_trans
         self.chooser = chooser
@@ -200,7 +232,9 @@ class _HybridEngine:
     def _choose_method(self, vclass: VarClass) -> str:
         if self.chooser is not None:
             return self.chooser(vclass)
-        return choose_method(vclass, self.sep_thold)
+        return choose_method(
+            vclass, self.sep_thold, self.trans_budget, self.paper_rule
+        )
 
     # -- SD machinery ---------------------------------------------------------
 
@@ -338,9 +372,7 @@ class _HybridEngine:
 
     def _is_equality_only(self, vclass: Optional[VarClass]) -> bool:
         return (
-            self.use_eq_vars
-            and vclass is not None
-            and not (vclass.has_inequality or vclass.has_offset)
+            self.use_eq_vars and vclass is not None and _equality_only(vclass)
         )
 
     def _encode_atom_eij(self, atom: Formula) -> Formula:
@@ -401,12 +433,14 @@ class _HybridEngine:
         f_bvar = fmemo[pushed]
 
         # F_trans: transitivity for EIJ classes, domain bounds for SD ones.
+        # Each class has its own count, which the budget caps.
         trans_parts: List[Formula] = []
-        tstats = TransitivityStats()
+        trans_clauses = 0
         for vclass in self.analysis.classes:
             if self.method_of_class[vclass.index] == EIJ:
                 if not self.generate_trans:
                     continue
+                tstats = TransitivityStats()
                 if self._is_equality_only(vclass):
                     clauses = generate_equality_transitivity(
                         self.registry,
@@ -424,6 +458,7 @@ class _HybridEngine:
                         deadline=self.deadline,
                     )
                 trans_parts.extend(clauses)
+                trans_clauses += tstats.clauses
             else:
                 trans_parts.extend(self._sd_domain_constraints(vclass))
         f_trans = And(*trans_parts)
@@ -434,9 +469,16 @@ class _HybridEngine:
             1 for m in self.method_of_class.values() if m == SD
         )
         stats.eij_classes = stats.num_classes - stats.sd_classes
+        if self.sep_thold is not None:
+            stats.eq_bound_classes = sum(
+                1
+                for vclass in self.analysis.classes
+                if vclass.sep_count > self.sep_thold
+                and self.method_of_class[vclass.index] == EIJ
+            )
         stats.sep_vars = self.registry.atom_var_count
         stats.derived_sep_vars = self.registry.derived_var_count
-        stats.trans_clauses = tstats.clauses
+        stats.trans_clauses = trans_clauses
         stats.total_sep_count = self.analysis.total_sep_count()
 
         return Encoding(
@@ -463,6 +505,7 @@ def _encode(
     use_eq_vars: bool = True,
     sd_ranges: str = "uniform",
     deadline: Optional[float] = None,
+    paper_rule: bool = True,
 ) -> Encoding:
     if analysis is None:
         analysis = analyze_separation(f_sep)
@@ -475,6 +518,7 @@ def _encode(
         use_eq_vars=use_eq_vars,
         sd_ranges=sd_ranges,
         deadline=deadline,
+        paper_rule=paper_rule,
     )
     return engine.encode()
 
@@ -485,17 +529,29 @@ def encode_hybrid(
     trans_budget: int = DEFAULT_TRANS_BUDGET,
     analysis: Optional[SeparationAnalysis] = None,
     deadline: Optional[float] = None,
+    paper_rule: bool = False,
 ) -> Encoding:
     """The paper's HYBRID encoding with the given ``SEP_THOLD``.
 
+    Each class's method is :func:`choose_method`'s: an equality-only
+    class above the threshold goes to EIJ when its transitivity provably
+    fits ``trans_budget``, unless ``paper_rule`` asks for the paper's
+    SepCnt rule alone.
+
     Transitivity generation raises
     :class:`~repro.encodings.transitivity.TransitivityBudgetExceeded`
-    past ``trans_budget`` clauses or past ``deadline`` (a
-    :func:`time.perf_counter` value); so do the other encoders that
-    take them.
+    when one class passes ``trans_budget`` clauses or the clock passes
+    ``deadline`` (a :func:`time.perf_counter` value); so do the other
+    encoders that take them.
     """
     return _encode(
-        f_sep, sep_thold, trans_budget, "HYBRID", analysis, deadline=deadline
+        f_sep,
+        sep_thold,
+        trans_budget,
+        "HYBRID",
+        analysis,
+        deadline=deadline,
+        paper_rule=paper_rule,
     )
 
 

@@ -47,6 +47,7 @@ __all__ = [
     "TransitivityStats",
     "generate_transitivity",
     "generate_equality_transitivity",
+    "equality_clause_bound",
 ]
 
 #: Clauses emitted between two looks at the clock when a deadline is set.
@@ -160,6 +161,19 @@ class _IntClauses:
                     literals.append(node)
             out.append(Or(*literals))
         return out
+
+
+def equality_clause_bound(num_constants: int) -> int:
+    """The most clauses :func:`generate_equality_transitivity` can emit
+    for a class of ``num_constants`` constants, ``3 * C(n, 3)``.
+
+    It emits three clauses per triangle of the filled graph, and meets
+    each vertex triple at most once, because the triple's first
+    eliminated vertex leaves the graph.  A class that compares every
+    pair reaches the bound.
+    """
+    n = num_constants
+    return n * (n - 1) * (n - 2) // 2
 
 
 def generate_equality_transitivity(

@@ -61,7 +61,9 @@ SatRunner = Callable[[Any, SolveRequest, StageRecord, List[int]], Any]
 
 #: Each encoder is called with ``F_sep``, the request, and the solve's
 #: deadline (a :func:`time.perf_counter` value, or ``None``), which bounds
-#: transitivity generation the way ``trans_budget`` does.
+#: transitivity generation the way ``trans_budget`` does.  HYBRID reads
+#: ``options["paper_rule"]``, which ``repro experiment`` sets to run the
+#: paper's SepCnt rule alone.
 _ENCODERS = {
     "sd": lambda f_sep, req, deadline: encode_sd(
         f_sep, sd_ranges=req.sd_ranges
@@ -77,6 +79,7 @@ _ENCODERS = {
         sep_thold=req.sep_thold,
         trans_budget=req.trans_budget,
         deadline=deadline,
+        paper_rule=req.options.get("paper_rule", False),
     ),
 }
 
@@ -138,6 +141,9 @@ def run_eager(
             rec.counters["classes"] = encoding.stats.num_classes
             rec.counters["sd_classes"] = encoding.stats.sd_classes
             rec.counters["eij_classes"] = encoding.stats.eij_classes
+            rec.counters["eq_bound_classes"] = (
+                encoding.stats.eq_bound_classes
+            )
             rec.counters["sep_vars"] = encoding.stats.sep_vars
             rec.counters["trans_clauses"] = encoding.stats.trans_clauses
             rec.counters["sep_count"] = encoding.stats.total_sep_count

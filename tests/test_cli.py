@@ -180,11 +180,17 @@ class TestAnalyzeCommand:
         [
             ("invariant_n12_3", ("SepCnt=67,", "-> EIJ")),
             ("ooo_t16_7", ("SepCnt=135,", "-> SD")),
+            (
+                "transval_s3_i4_3",
+                ("SepCnt=171,", "-> EIJ (transitivity <= 2907 clauses)"),
+            ),
         ],
     )
     def test_method_choice_without_encoding(self, tmp_path, name, class0):
-        # The per-class choice is the SepCnt rule alone: no transitivity
-        # generation, so neither query hangs.
+        # The per-class choice is the one `repro check` makes, read from
+        # SepCnt and, for an equality-only class, the size of its
+        # transitivity bound: no transitivity generation, so no query
+        # hangs.
         out = run_cli_on_suite_query(tmp_path, name, "analyze")
         line = next(l for l in out.splitlines() if "class 0:" in l)
         for part in class0:

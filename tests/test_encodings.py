@@ -49,6 +49,26 @@ class TestMethodSelection:
         encoding = encode_hybrid(self.formula, sep_thold=10**9)
         assert set(encoding.method_of_class.values()) == {"EIJ"}
 
+    @pytest.mark.parametrize(
+        "budget,paper_rule,method",
+        [(12, False, "EIJ"), (11, False, "SD"), (12, True, "SD")],
+    )
+    def test_equality_only_class_above_threshold(
+        self, budget, paper_rule, method
+    ):
+        # Four constants, every pair compared: SepCnt 6, and at most
+        # 4*3*2/2 = 12 transitivity clauses.
+        w, x, y, z = (b.const(n) for n in "wxyz")
+        pairs = [(w, x), (w, y), (w, z), (x, y), (x, z), (y, z)]
+        formula = b.bnot(b.band(*[b.eq(p, q) for p, q in pairs]))
+        encoding = encode_hybrid(
+            formula, sep_thold=0, trans_budget=budget, paper_rule=paper_rule
+        )
+        assert set(encoding.method_of_class.values()) == {method}
+        assert encoding.stats.eq_bound_classes == (method == "EIJ")
+        assert encoding.stats.trans_clauses <= budget
+        assert set(encode_sd(formula).method_of_class.values()) == {"SD"}
+
     def test_hybrid_mixes_by_class(self):
         # Two independent classes with different SepCnt.
         x, y, z, w = (b.const(n) for n in "xyzw")

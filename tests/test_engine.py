@@ -174,6 +174,16 @@ class TestStageTelemetry:
         assert encode.name == "encode"
         assert encode.counters["trans_clauses"] == 1001
 
+    def test_budget_counts_per_class(self):
+        # Two classes of 6 and 12 clauses: each fits a budget of 15,
+        # though together they pass it.
+        bench = benchmark_by_name("pipeline_s2_r2_1")
+        outcome = registry.get("eij").solve(
+            SolveRequest(formula=bench.formula, trans_budget=15)
+        )
+        assert outcome.status == Status.VALID
+        assert outcome.stats.counter("encode", "trans_clauses") == 18
+
     def test_eager_decode_stage_on_invalid(self):
         outcome = registry.get("hybrid").decide(parse_formula(INVALID_F))
         assert [s.name for s in outcome.stages][-1] == "decode"

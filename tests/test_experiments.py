@@ -8,6 +8,9 @@ import pytest
 
 from repro.benchgen.pipeline import make_pipeline
 from repro.benchgen.invariant import make_invariant
+from repro.benchgen.suite import benchmark_by_name
+from repro.engine import registry
+from repro.engine.contract import SolveRequest
 from repro.experiments import report, runner
 from repro.experiments.fig3 import rank_correlation
 from repro.experiments.fig4 import summarize_vs_hybrid
@@ -28,6 +31,18 @@ class TestRunner:
         for procedure in runner.PROCEDURES:
             row = runner.run_benchmark(bench, procedure, timeout=20.0)
             assert row.status == "VALID", procedure
+
+    def test_hybrid_runs_the_papers_rule(self):
+        # SepCnt 171 > 100 sends transval's equality-only class to SD in
+        # the experiments, and to EIJ everywhere else.
+        bench = benchmark_by_name("transval_s3_i4_3")
+        paper = runner.PROCEDURES["HYBRID"](bench, 30.0)
+        product = registry.get("hybrid").solve(
+            SolveRequest(formula=bench.formula, want_countermodel=False)
+        )
+        assert paper.valid is product.valid is True
+        assert paper.stats.counter("encode", "sd_classes") == 1
+        assert product.stats.counter("encode", "sd_classes") == 0
 
     def test_translation_limit_maps_to_timeout_row(self):
         bench = make_invariant(cells=12, seed=1)

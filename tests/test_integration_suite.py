@@ -71,13 +71,42 @@ class TestNonInvariantRegime:
 
 class TestThresholdEndpoints:
     def test_threshold_zero_matches_sd(self):
+        # §4's endpoint identity is a property of the paper's rule.
         bench = benchmark_by_name("ooo_t8_4")
-        hybrid0 = decide(bench, "hybrid", sep_thold=0)
+        hybrid0 = decide(
+            bench, "hybrid", sep_thold=0, options={"paper_rule": True}
+        )
         sd = decide(bench, "sd")
         assert hybrid0.valid == sd.valid is True
         assert hybrid0.stats.counter("encode", "sd_classes") == (
             sd.stats.counter("encode", "sd_classes")
         )
+
+    def test_threshold_zero_keeps_small_equality_class_eij(self):
+        # The product rule at 0: the class with inequalities goes to SD,
+        # the 3-constant equality-only class (bound 3 clauses) to EIJ.
+        bench = benchmark_by_name("ooo_t8_4")
+        hybrid0 = decide(bench, "hybrid", sep_thold=0)
+        assert hybrid0.valid is True
+        assert hybrid0.stats.counter("encode", "sd_classes") == 1
+        assert hybrid0.stats.counter("encode", "eij_classes") == 1
+        assert hybrid0.stats.counter("encode", "eq_bound_classes") == 1
+
+    @pytest.mark.parametrize(
+        "name,options,eq_bound,sd",
+        [
+            ("transval_s3_i4_3", {}, 1, 0),
+            ("ooo_t16_7", {}, 0, 1),
+            ("transval_s3_i4_3", {"paper_rule": True}, 0, 1),
+        ],
+    )
+    def test_encode_record_says_why(self, name, options, eq_bound, sd):
+        # transval's class (19 constants, SepCnt 171) is equality-only;
+        # ooo's class above the threshold has inequalities and offsets.
+        result = decide(benchmark_by_name(name), "hybrid", options=options)
+        assert result.valid is True
+        assert result.stats.counter("encode", "eq_bound_classes") == eq_bound
+        assert result.stats.counter("encode", "sd_classes") == sd
 
     def test_threshold_infinity_matches_eij(self):
         bench = benchmark_by_name("loadstore_e7_p14_3")

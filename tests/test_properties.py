@@ -79,8 +79,14 @@ class TestEquivalidity:
     @given(seed=st.integers(0, 1_000_000))
     def test_f_bool_validity_matches(self, seed):
         formula = random_sep_formula(seed, max_vars=3, depth=2)
-        for encoder in (encode_sd, encode_eij, encode_hybrid):
-            encoding = encoder(formula)
+        for encoder, kwargs in (
+            (encode_sd, {}),
+            (encode_eij, {}),
+            (encode_hybrid, {}),
+            # At 0 every equality-only class takes the bound path.
+            (encode_hybrid, {"sep_thold": 0}),
+        ):
+            encoding = encoder(formula, **kwargs)
             sat_neg = solve_cnf(to_cnf(encoding.check_formula))
             via_encoding = sat_neg.is_unsat
             try:
@@ -90,7 +96,7 @@ class TestEquivalidity:
                 )
             except BruteForceLimitExceeded:
                 return
-            assert via_encoding == expected, encoder.__name__
+            assert via_encoding == expected, (encoder.__name__, kwargs)
 
 
 class TestRenamingInvariance:

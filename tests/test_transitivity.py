@@ -20,6 +20,7 @@ from repro.encodings.sepvars import SepVarRegistry
 from repro.encodings.transitivity import (
     TransitivityBudgetExceeded,
     TransitivityStats,
+    equality_clause_bound,
     generate_equality_transitivity,
     generate_transitivity,
 )
@@ -85,6 +86,25 @@ class TestBasicGeneration:
                 bound = registry.bound_of_literal(literal)
                 assert bound is not None
                 assert not {bound.lhs, bound.rhs} & {u, v}
+
+    @settings(max_examples=30, deadline=None)
+    @given(n=st.integers(0, 9), seed=st.integers(0, 1_000_000))
+    def test_equality_clause_bound(self, n, seed):
+        vars_ = make_vars(n)
+
+        def clauses(compared):
+            registry = SepVarRegistry()
+            for a, c in compared:
+                registry.eq_var(a, c)
+            stats = TransitivityStats()
+            generate_equality_transitivity(registry, vars_, stats=stats)
+            return stats.clauses
+
+        # Comparing every pair reaches the bound; a subset stays within.
+        pairs = [(a, c) for i, a in enumerate(vars_) for c in vars_[i + 1:]]
+        subset = random.Random(seed).sample(pairs, len(pairs) // 2)
+        assert clauses(pairs) == equality_clause_bound(n)
+        assert clauses(subset) <= equality_clause_bound(n)
 
 
 def assignment_consistent(registry, assignment):
