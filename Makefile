@@ -1,10 +1,21 @@
 PYTHON ?= python
 PYTHONPATH := src
 
-.PHONY: test lint typecheck analyze analyze-baseline sarif fuzz fuzz-smoke compete-smoke examples paper-claims profile coverage ci clean
+.PHONY: test portfolio-one-cpu lint typecheck analyze analyze-baseline sarif fuzz fuzz-smoke compete-smoke examples paper-claims profile coverage ci clean
 
 test:
 	PYTHONPATH=$(PYTHONPATH) $(PYTHON) -m pytest -x -q
+
+# The portfolio tests pinned to one CPU.  A race runs at most one member
+# per usable CPU, so here the tests that do not pin the slot count run
+# the one-slot schedule for real.  taskset sets the affinity of the test
+# process only.  Skipped with a notice where taskset is missing.
+portfolio-one-cpu:
+	@if command -v taskset >/dev/null 2>&1; then \
+		PYTHONPATH=$(PYTHONPATH) taskset -c 0 $(PYTHON) -m pytest tests/test_portfolio.py -q; \
+	else \
+		echo "taskset not installed; skipping the one-CPU portfolio run (util-linux)"; \
+	fi
 
 # Repo-specific static analysis (concurrency / determinism / flow /
 # lifecycle / engine-contract rules; see docs/static-analysis.md).
@@ -108,12 +119,13 @@ fuzz-smoke:
 
 # Every step of .github/workflows/ci.yml that runs without extra
 # packages: static analysis (plus ruff and mypy when installed), tier-1
-# tests, fuzz smoke, compete smoke, the examples and the paper claims.
+# tests, the one-CPU portfolio run, fuzz smoke, compete smoke, the
+# examples and the paper claims.
 # Three steps stay CI-only: the
 # coverage gate (needs pytest-cov), the SARIF log (an upload artifact),
 # and the perfbench-tests job (python3 -m pytest perfbench/tests, about
 # 3 minutes).
-ci: lint typecheck test fuzz-smoke compete-smoke examples paper-claims
+ci: lint typecheck test portfolio-one-cpu fuzz-smoke compete-smoke examples paper-claims
 
 clean:
 	rm -rf fuzz-failures .pytest_cache .hypothesis .compete-benchgen \

@@ -43,7 +43,7 @@ from ..sat.cubes import CubeConfig, CubeSplitter, generate_cubes
 from ..sat.solver import CdclSolver, SatResult, SatStats
 from .base import Engine
 from .contract import SolveOutcome, SolveRequest
-from .portfolio import _mp_context
+from .portfolio import _mp_context, _usable_cpus
 from .stages import run_eager
 
 __all__ = ["CubeEngine", "conquer"]
@@ -59,8 +59,8 @@ _POLL_SECONDS = 0.05
 
 
 def _auto_procs() -> int:
-    """Default worker count: one per core, capped at 4."""
-    return max(1, min(4, os.cpu_count() or 1))
+    """Default worker count: one per usable CPU, capped at 4."""
+    return min(4, _usable_cpus())
 
 
 def _snapshot(stats: SatStats) -> Dict[str, Any]:

@@ -103,15 +103,18 @@ class BruteEngine(Engine):
         return outcome
 
 
-#: Construction order doubles as the default portfolio priority: the
-#: paper's HYBRID first, then the other eager encodings, the baselines,
+#: Construction order doubles as the default portfolio priority and the
+#: order in which a race starts its members: the paper's HYBRID first,
+#: then the lazy procedure, which shares nothing with HYBRID's pipeline
+#: and decides the families HYBRID gives up on; then the other eager
+#: encodings, which mostly decide what HYBRID decides, the SVC baseline,
 #: and the bounded oracle last.
 BUILTIN_ENGINES = (
     lambda: EagerEngine("hybrid"),
+    LazyEngine,
     lambda: EagerEngine("static"),
     lambda: EagerEngine("eij"),
     lambda: EagerEngine("sd"),
-    LazyEngine,
     SvcEngine,
     BruteEngine,
 )

@@ -10,6 +10,15 @@ are broken by registry priority order, which makes the winning engine
 deterministic whenever completion order is (and is also what the
 sequential fallback and the batch API use).
 
+At most one member runs per usable CPU.  Members start in priority
+order, and the next one starts when a running member reports without a
+verdict (or dies), so every member, the winner included, gets a whole
+CPU.  The default order puts HYBRID and the lazy procedure first: they
+decide different families, and the other members mostly decide what
+HYBRID decides.  The price: with fewer CPUs than members, a later
+member gets CPU only once an earlier one gives up, so a formula that
+only it decides, while the first members run to the deadline, is lost.
+
 ``solve_batch`` decides many formulas with a worker pool; pool workers
 are daemonic (they cannot fork grandchildren), so each item runs the
 sequential portfolio in-process.
@@ -19,10 +28,11 @@ from __future__ import annotations
 
 import dataclasses
 import multiprocessing
+import os
 import queue as queue_mod
 import signal
 import time
-from typing import Any, Dict, List, Optional, Sequence, Tuple
+from typing import Any, Collection, Dict, List, Optional, Sequence, Tuple
 
 from ..core.status import Status
 from ..logic.printer import to_sexpr
@@ -61,6 +71,28 @@ def default_members() -> List[str]:
     return [
         name for name in registry.list_engines() if name not in _META_ENGINES
     ]
+
+
+def _resolve_members(engines: Optional[Sequence[str]]) -> List[str]:
+    """The distinct member names, each looked up before any fork.
+
+    An unknown name raises the registry's ``KeyError`` here instead of
+    racing as an ``ERROR`` member, and forked members inherit the
+    loaded registry instead of each importing it.  A repeated name
+    races once: the race tracks its members by name.
+    """
+    from . import registry
+
+    members = (
+        list(dict.fromkeys(engines))
+        if engines is not None
+        else default_members()
+    )
+    if not members:
+        raise ValueError("portfolio needs at least one member engine")
+    for name in members:
+        registry.get(name)
+    return members
 
 
 def _request_payload(request: SolveRequest) -> Dict[str, Any]:
@@ -116,6 +148,13 @@ def _mp_context() -> multiprocessing.context.BaseContext:
     )
 
 
+def _usable_cpus() -> int:
+    """The number of CPUs this process may run on (its affinity mask)."""
+    if hasattr(os, "sched_getaffinity"):
+        return len(os.sched_getaffinity(0))
+    return os.cpu_count() or 1
+
+
 def _pick_winner(
     decided: Dict[str, SolveOutcome], members: Sequence[str]
 ) -> Tuple[str, SolveOutcome]:
@@ -128,6 +167,7 @@ def _portfolio_outcome(
     winner_name: Optional[str],
     winner: Optional[SolveOutcome],
     members: Sequence[str],
+    launched: Collection[str],
     finished: Dict[str, SolveOutcome],
     cancelled: Sequence[str],
     started: float,
@@ -144,6 +184,7 @@ def _portfolio_outcome(
             wall,
             {
                 "members": len(members),
+                "launched": len(launched),
                 "finished": len(finished),
                 "cancelled": len(cancelled),
             },
@@ -158,6 +199,12 @@ def _portfolio_outcome(
             for name in members
             if name in finished
         )
+        not_started = ", ".join(n for n in members if n not in launched)
+        if not_started:
+            summary += "%snot started: %s" % (
+                "; " if summary else "",
+                not_started,
+            )
         if finished:
             name, best = _pick_winner(dict(finished), members)
             status = best.status
@@ -171,10 +218,11 @@ def _portfolio_outcome(
                 detail="no engine decided (%s)" % summary,
                 wall_seconds=wall,
             )
+        detail = "deadline reached before any engine finished"
         undecided = SolveOutcome(
             engine="portfolio",
             status=Status.UNKNOWN,
-            detail="deadline reached before any engine finished",
+            detail="%s (%s)" % (detail, summary) if summary else detail,
             wall_seconds=wall,
         )
         undecided.stats.stages = [race_record()]
@@ -227,9 +275,11 @@ def _solve_sequential(
         finished[name] = outcome
         if outcome.decided:
             return _portfolio_outcome(
-                name, outcome, members, finished, [], started
+                name, outcome, members, finished, finished, [], started
             )
-    return _portfolio_outcome(None, None, members, finished, [], started)
+    return _portfolio_outcome(
+        None, None, members, finished, finished, [], started
+    )
 
 
 def solve_portfolio(
@@ -240,14 +290,19 @@ def solve_portfolio(
 ) -> SolveOutcome:
     """Race ``engines`` on ``request``; first decided verdict wins.
 
+    At most one member per usable CPU runs at once.  Members start in
+    the order of ``engines`` (default: registry priority order); the
+    next one starts when a running member reports without a verdict or
+    dies without a report.  An unknown member name raises ``KeyError``
+    before anything starts; a repeated one races once.
+
     ``deadline`` (seconds, default ``request.time_limit``) bounds the
-    whole race; members additionally receive ``request.time_limit`` as
-    their own budget.  With ``parallel=False`` the members run in-process
-    in priority order instead (deterministic, multiprocessing-free).
+    whole race; each member, however late it starts, additionally
+    receives ``request.time_limit`` as its own budget.  With
+    ``parallel=False`` the members run in-process in priority order
+    instead (deterministic, multiprocessing-free).
     """
-    members = list(engines) if engines is not None else default_members()
-    if not members:
-        raise ValueError("portfolio needs at least one member engine")
+    members = _resolve_members(engines)
     if deadline is None:
         deadline = request.time_limit
     if not parallel:
@@ -256,21 +311,30 @@ def solve_portfolio(
     ctx = _mp_context()
     results = ctx.Queue()
     payload = _request_payload(request)
+    slots = _usable_cpus()
+    waiting = iter(members)
     started = time.perf_counter()
     procs: Dict[str, multiprocessing.Process] = {}
-    for name in members:
-        proc = ctx.Process(
-            target=_member_worker,
-            args=(name, payload, results),
-            name="portfolio-%s" % name,
-            daemon=True,
-        )
-        proc.start()
-        procs[name] = proc
-
     finished: Dict[str, SolveOutcome] = {}
     decided: Dict[str, SolveOutcome] = {}
+
+    def launch() -> None:
+        # A slot frees when its member reports, not when it exits.
+        while len(procs) - len(finished) < slots:
+            name = next(waiting, None)
+            if name is None:
+                return
+            proc = ctx.Process(
+                target=_member_worker,
+                args=(name, payload, results),
+                name="portfolio-%s" % name,
+                daemon=True,
+            )
+            proc.start()
+            procs[name] = proc
+
     try:
+        launch()
         while len(finished) < len(members):
             if deadline is not None:
                 remaining = deadline - (time.perf_counter() - started)
@@ -292,6 +356,7 @@ def solve_portfolio(
                             detail="worker exited without a result "
                             "(exitcode %s)" % proc.exitcode,
                         )
+                launch()
                 continue
             finished[name] = outcome
             if outcome.decided:
@@ -307,16 +372,17 @@ def solve_portfolio(
                     if other.decided:
                         decided[other_name] = other
                 break
+            launch()
     finally:
         cancelled = _cancel_losers(procs, finished)
 
     if decided:
         winner_name, winner = _pick_winner(decided, members)
         return _portfolio_outcome(
-            winner_name, winner, members, finished, cancelled, started
+            winner_name, winner, members, procs, finished, cancelled, started
         )
     return _portfolio_outcome(
-        None, None, members, finished, cancelled, started
+        None, None, members, procs, finished, cancelled, started
     )
 
 
@@ -407,7 +473,7 @@ def _solve_batch_raw(
         for f in formulas
     ]
     if jobs is None:
-        jobs = min(len(items), multiprocessing.cpu_count())
+        jobs = min(len(items), _usable_cpus())
     if jobs <= 1 or len(items) == 1:
         return [_batch_worker(item) for item in items]
     ctx = _mp_context()
@@ -438,9 +504,7 @@ def solve_batch(
     scheduling level: dedupe across formulas, race across engines,
     cube-and-conquer within a formula (see :func:`_cube_escalate`).
     """
-    members = list(engines) if engines is not None else default_members()
-    if not members:
-        raise ValueError("portfolio needs at least one member engine")
+    members = _resolve_members(engines)
     formulas = list(formulas)
     if not formulas:
         return []

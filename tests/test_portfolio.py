@@ -5,7 +5,9 @@ import time
 
 import pytest
 
+from repro.benchgen.suite import benchmark_by_name
 from repro.core.status import Status
+from repro.engine import portfolio as portfolio_mod
 from repro.engine import registry
 from repro.engine.base import Engine
 from repro.engine.contract import SolveOutcome, SolveRequest
@@ -63,8 +65,26 @@ def crashy():
         registry.unregister("crashy-test")
 
 
+@pytest.fixture
+def cpus(monkeypatch):
+    """``cpus(n)`` makes the race see ``n`` usable CPUs."""
+
+    def pin(n):
+        monkeypatch.setattr(portfolio_mod, "_usable_cpus", lambda: n)
+
+    return pin
+
+
 def request_for(text, **kw):
     return SolveRequest(formula=parse_formula(text), **kw)
+
+
+def portfolio_children():
+    return [
+        p
+        for p in multiprocessing.active_children()
+        if p.name.startswith("portfolio-")
+    ]
 
 
 class TestSequentialPortfolio:
@@ -124,6 +144,49 @@ class TestSequentialPortfolio:
         with pytest.raises(ValueError):
             solve_portfolio(request_for(VALID_F), engines=[])
 
+    @pytest.mark.parametrize("parallel", [True, False])
+    def test_unknown_member_rejected_before_anything_starts(self, parallel):
+        with pytest.raises(KeyError, match="hybrdi.*registered: hybrid"):
+            solve_portfolio(
+                request_for(VALID_F),
+                engines=["hybrid", "hybrdi"],
+                parallel=parallel,
+            )
+        with pytest.raises(KeyError, match="hybrdi"):
+            solve_batch([parse_formula(VALID_F)], engines=["hybrdi"])
+        assert portfolio_children() == []
+
+    @pytest.mark.parametrize("parallel", [True, False])
+    def test_repeated_member_races_once(self, parallel):
+        # The race tracks members by name: a repeated one must not leave
+        # it waiting for a second report that never comes.
+        started = time.perf_counter()
+        outcome = solve_portfolio(
+            request_for(VALID_F, options={"limit": 1}),
+            engines=["brute", "brute"],
+            parallel=parallel,
+            deadline=10.0,
+        )
+        assert time.perf_counter() - started < 5.0
+        assert outcome.status == Status.UNKNOWN
+        assert outcome.detail == "no engine decided (brute=UNKNOWN)"
+        race = next(s for s in outcome.stats.stages if s.name == "race")
+        assert race.counters["members"] == 1
+        assert portfolio_children() == []
+
+    def test_default_order_is_hybrid_then_lazy(self):
+        assert default_members()[:2] == ["hybrid", "lazy"]
+
+    def test_lazy_answers_before_the_other_eager_encodings(self):
+        # HYBRID gives up on the invariant family (its transitivity
+        # exceeds the budget); lazy, second, decides it at once.
+        bench = benchmark_by_name("invariant_n12_3")
+        outcome = solve_portfolio(
+            SolveRequest(formula=bench.formula), parallel=False
+        )
+        assert outcome.status == Status.VALID
+        assert outcome.winner == "lazy"
+
 
 class TestParallelPortfolio:
     def test_race_decides_and_reports_winner(self):
@@ -142,7 +205,9 @@ class TestParallelPortfolio:
         assert outcome.counterexample is not None
         assert not evaluate(formula, outcome.counterexample)
 
-    def test_first_win_cancels_losers(self, sleepy):
+    def test_first_win_cancels_losers(self, sleepy, cpus):
+        # Two slots: the sleeper ahead of hybrid must not hold the only one.
+        cpus(2)
         started = time.perf_counter()
         outcome = solve_portfolio(
             request_for(VALID_F), engines=["sleepy-test", "hybrid"]
@@ -154,12 +219,7 @@ class TestParallelPortfolio:
         assert elapsed < 15.0
         assert "cancelled: sleepy-test" in outcome.detail
         # No portfolio worker is left running after the call returns.
-        leftovers = [
-            p
-            for p in multiprocessing.active_children()
-            if p.name.startswith("portfolio-")
-        ]
-        assert leftovers == []
+        assert portfolio_children() == []
 
     def test_deadline_terminates_everything(self, sleepy):
         started = time.perf_counter()
@@ -174,6 +234,22 @@ class TestParallelPortfolio:
         elapsed = time.perf_counter() - started
         assert outcome.status == Status.UNKNOWN
         assert elapsed < 15.0
+
+    def test_deadline_names_members_never_started(self, sleepy, cpus):
+        cpus(1)
+        outcome = solve_portfolio(
+            request_for(VALID_F),
+            engines=["sleepy-test", "hybrid"],
+            deadline=1.0,
+        )
+        assert outcome.status == Status.UNKNOWN
+        assert "not started: hybrid" in outcome.detail
+        race = next(s for s in outcome.stats.stages if s.name == "race")
+        assert race.counters["members"] == 2
+        assert race.counters["launched"] == 1
+        assert race.counters["finished"] == 0
+        assert race.counters["cancelled"] == 1
+        assert portfolio_children() == []
 
     def test_deterministic_priority_tie_break(self):
         # Among members decided in the same poll tick, the lowest member
@@ -193,6 +269,16 @@ class TestParallelPortfolio:
         assert outcome.status == Status.VALID
         assert outcome.winner == "hybrid"
 
+    def test_freed_slot_starts_the_next_member(self, crashy, cpus):
+        cpus(1)
+        outcome = solve_portfolio(
+            request_for(VALID_F), engines=["crashy-test", "hybrid"]
+        )
+        assert outcome.status == Status.VALID
+        assert outcome.winner == "hybrid"
+        race = next(s for s in outcome.stats.stages if s.name == "race")
+        assert race.counters["launched"] == 2
+
     def test_registered_as_engine(self):
         outcome = registry.get("portfolio").solve(request_for(VALID_F))
         assert outcome.status == Status.VALID
@@ -207,6 +293,65 @@ class TestParallelPortfolio:
         )
         assert outcome.status == Status.VALID
         assert outcome.winner == "portfolio"
+
+
+class NapEngine(Engine):
+    """Sleeps 0.3 s, answers UNKNOWN, and logs when its solve ran."""
+
+    def __init__(self, name, log_dir):
+        self.name = name
+        self.log = log_dir / name
+
+    def solve(self, request):
+        start = time.time()
+        time.sleep(0.3)
+        self.log.write_text("%r %r" % (start, time.time()))
+        return SolveOutcome(engine=self.name, status=Status.UNKNOWN)
+
+
+@pytest.fixture
+def nappers(tmp_path):
+    names = ["nap-%d-test" % i for i in range(4)]
+    for name in names:
+        registry.register(NapEngine(name, tmp_path))
+    try:
+        yield names, tmp_path
+    finally:
+        for name in names:
+            registry.unregister(name)
+
+
+def solve_intervals(names, log_dir):
+    return [
+        tuple(float(t) for t in (log_dir / name).read_text().split())
+        for name in names
+    ]
+
+
+def most_at_once(intervals):
+    """The most intervals that contain one instant."""
+    return max(
+        sum(1 for start, end in intervals if start <= at < end)
+        for at, _ in intervals
+    )
+
+
+class TestSchedule:
+    def test_at_most_one_member_per_cpu(self, nappers, cpus):
+        names, log_dir = nappers
+        cpus(2)
+        outcome = solve_portfolio(request_for(VALID_F), engines=names)
+        assert outcome.status == Status.UNKNOWN
+        race = next(s for s in outcome.stats.stages if s.name == "race")
+        assert race.counters["launched"] == 4
+        assert race.counters["finished"] == 4
+        assert most_at_once(solve_intervals(names, log_dir)) == 2
+
+    def test_every_member_starts_at_once_given_the_cpus(self, nappers, cpus):
+        names, log_dir = nappers
+        cpus(4)
+        solve_portfolio(request_for(VALID_F), engines=names)
+        assert most_at_once(solve_intervals(names, log_dir)) == 4
 
 
 class TestBatch:
@@ -284,18 +429,15 @@ def undecided():
 
 
 class TestRaceTelemetry:
-    def test_cancellation_recorded_and_losers_terminated(self, sleepy):
+    def test_cancellation_recorded_and_losers_terminated(self, sleepy, cpus):
+        # Two slots: the sleeper ahead of hybrid must not hold the only one.
+        cpus(2)
         outcome = solve_portfolio(
             request_for(VALID_F), engines=["sleepy-test", "hybrid"]
         )
         assert outcome.status == Status.VALID
         # The loser must be gone from the process table...
-        leftovers = [
-            p
-            for p in multiprocessing.active_children()
-            if p.name.startswith("portfolio-")
-        ]
-        assert leftovers == []
+        assert portfolio_children() == []
         # ...and the race StageRecord must say so: telemetry records the
         # cancellation, not just the detail string.
         races = [s for s in outcome.stats.stages if s.name == "race"]

@@ -17,6 +17,7 @@ import sys
 import time
 
 from repro.benchgen import benchmark_by_name
+from repro.engine import portfolio as portfolio_mod
 from repro.engine.contract import SolveRequest
 from repro.engine.portfolio import solve_portfolio
 from repro.service.cache import ResultCache
@@ -574,10 +575,13 @@ class TestSubprocessEndToEnd:
 
 
 class TestRaceCancellation:
-    def test_serve_style_sigterm_handler_does_not_stall_cancellation(self):
+    def test_serve_style_sigterm_handler_does_not_stall_cancellation(
+        self, monkeypatch
+    ):
         # Like serve's drain-flag handler, this one swallows SIGTERM.
         # Race members inherit it and must still die at once when the
-        # loser is cancelled.
+        # loser is cancelled.  Two slots, so the loser runs beside hybrid.
+        monkeypatch.setattr(portfolio_mod, "_usable_cpus", lambda: 2)
         previous = signal.signal(signal.SIGTERM, lambda signum, frame: None)
         try:
             started = time.perf_counter()
