@@ -83,16 +83,13 @@ examples:
 		PYTHONPATH=$(PYTHONPATH) $(PYTHON) $$script; \
 	done
 
-# The paper claims that depend on HYBRID's rule: Fig. 4 (HYBRID completes
-# on all), Fig. 5 (EIJ and default HYBRID fail every invariant formula,
-# SD completes them) and the SEP_THOLD ablation.  They assert statuses
-# and decided counts, not timings, and print each figure's summary.
-# About 100 s on 2 cores; needs pytest-benchmark.
+# Every experiment of the paper's evaluation (Figs. 2-6, the SEP_THOLD
+# selection and the four ablations), each printing its table and
+# checking its claims; exits 1 when any claim fails.  Some claims
+# compare times, so a heavily loaded machine can fail them.  About
+# 11 minutes on 2 cores; needs only the stdlib.
 paper-claims:
-	PYTHONPATH=$(PYTHONPATH) $(PYTHON) -m pytest -q --benchmark-disable \
-		benchmarks/bench_fig4_hybrid_vs_sd_eij.py \
-		benchmarks/bench_fig5_invariant.py \
-		benchmarks/bench_ablation_threshold.py
+	PYTHONPATH=$(PYTHONPATH) $(PYTHON) -m repro experiment all
 
 # cProfile one generated CNF instance or one suite query end to end
 # (PROFILE_ARGS picks instance/flags, e.g. make profile
@@ -120,7 +117,7 @@ fuzz-smoke:
 # Every step of .github/workflows/ci.yml that runs without extra
 # packages: static analysis (plus ruff and mypy when installed), tier-1
 # tests, the one-CPU portfolio run, fuzz smoke, compete smoke, the
-# examples and the paper claims.
+# examples and the paper claims (about 11 minutes of the total).
 # Three steps stay CI-only: the
 # coverage gate (needs pytest-cov), the SARIF log (an upload artifact),
 # and the perfbench-tests job (python3 -m pytest perfbench/tests, about

@@ -28,7 +28,8 @@ Subcommands
     deadlines, bounded-queue backpressure, a shared result cache, and
     graceful drain on SIGTERM.
 ``experiment {fig2,fig3,fig4,fig5,fig6,threshold,ablation,all}``
-    Run one of the paper's experiments and print its table/figure.
+    Run one of the paper's experiments, print its table/figure and check
+    the paper's claims on it; exits 1 when a claim fails.
 ``analyze FILE``
     Print the separation analysis (classes, domains, SepCnt, per-class
     method choice) for a formula — the paper's §4 steps 1–4, visible.
@@ -283,20 +284,12 @@ def build_parser() -> argparse.ArgumentParser:
         "request (deadlines then only observed between engines)",
     )
 
-    exp = sub.add_parser("experiment", help="run a paper experiment")
-    exp.add_argument(
-        "which",
-        choices=[
-            "fig2",
-            "fig3",
-            "fig4",
-            "fig5",
-            "fig6",
-            "threshold",
-            "ablation",
-            "all",
-        ],
+    exp = sub.add_parser(
+        "experiment",
+        help="run a paper experiment and check its claims "
+        "(exit 1 when one fails)",
     )
+    exp.add_argument("which", choices=[*experiments.EXPERIMENTS, "all"])
     exp.add_argument("--timeout", type=float, default=None)
     exp.add_argument(
         "--save",
@@ -736,28 +729,25 @@ def _cmd_serve(args) -> int:
 
 def _cmd_experiment(args) -> int:
     timeout = args.timeout or experiments.DEFAULT_TIMEOUT
-    runners = {
-        "fig2": experiments.fig2.main,
-        "fig3": experiments.fig3.main,
-        "fig4": experiments.fig4.main,
-        "fig5": experiments.fig5.main,
-        "fig6": experiments.fig6.main,
-        "threshold": experiments.threshold_exp.main,
-        "ablation": experiments.ablation.main,
-    }
+    every = args.which == "all"
     outputs = []
-    if args.which == "all":
-        for name, runner in runners.items():
+    failed = []
+    for name in experiments.EXPERIMENTS if every else [args.which]:
+        if every:
             print("=" * 72)
-            outputs.append(runner(timeout))
+        text, claims = experiments.EXPERIMENTS[name](timeout)
+        print(text)
+        if every:
             print()
-    else:
-        outputs.append(runners[args.which](timeout))
+        outputs.append(text)
+        failed.extend(claim for claim in claims if not claim.holds)
     if args.save:
         with open(args.save, "w") as fp:
             fp.write("\n\n".join(outputs))
             fp.write("\n")
-    return 0
+    for claim in failed:
+        print("experiment: %s" % claim, file=sys.stderr)
+    return 1 if failed else 0
 
 
 def _cmd_analyze(args) -> int:

@@ -13,13 +13,30 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from typing import Dict, List, Tuple
+from typing import List, Tuple
 
 from ..benchgen.suite import sample16
-from .report import ascii_scatter, format_seconds, table
+from .report import (
+    Claim,
+    ascii_scatter,
+    counted,
+    format_seconds,
+    table,
+    with_claims,
+)
 from .runner import DEFAULT_TIMEOUT, RunRow, run_benchmark
 
-__all__ = ["Fig3Point", "run_fig3", "render_fig3", "rank_correlation"]
+__all__ = [
+    "Fig3Point",
+    "run_fig3",
+    "render_fig3",
+    "rank_correlation",
+    "claims",
+]
+
+#: The Spearman correlation between SepCnt and EIJ's normalized time
+#: must exceed this for the paper's "good correlation".
+MIN_RHO = 0.3
 
 
 @dataclass
@@ -81,6 +98,14 @@ def rank_correlation(pairs: List[Tuple[float, float]]) -> float:
     return cov / (vx * vy)
 
 
+def _eij_norm(point: Fig3Point, timeout: float) -> float:
+    """EIJ's normalized time; a failed run sits on the plot's top
+    gridline, like the paper's timed-out points."""
+    if point.eij.timed_out:
+        return timeout * 50.0
+    return point.eij.normalized_seconds
+
+
 def render_fig3(points: List[Fig3Point], timeout: float = DEFAULT_TIMEOUT) -> str:
     headers = [
         "Benchmark",
@@ -92,24 +117,18 @@ def render_fig3(points: List[Fig3Point], timeout: float = DEFAULT_TIMEOUT) -> st
     body = []
     sd_series: List[Tuple[float, float]] = []
     eij_series: List[Tuple[float, float]] = []
-    corr_pairs: List[Tuple[float, float]] = []
-    timeout_norm = None
     for point in sorted(points, key=lambda p: p.sep_predicates):
         x = max(point.sep_predicates, 1)
         sd_norm = point.sd.normalized_seconds
-        eij_norm = point.eij.normalized_seconds
-        if point.eij.timed_out:
-            # Plot timed-out runs on the top gridline, like the paper.
-            eij_norm = timeout * 50.0
+        eij_norm = _eij_norm(point, timeout)
         sd_series.append((x, max(sd_norm, 1e-4)))
         eij_series.append((x, max(eij_norm, 1e-4)))
-        corr_pairs.append((x, eij_norm))
         body.append(
             [
                 point.benchmark,
                 point.sep_predicates,
                 format_seconds(sd_norm, point.sd.timed_out),
-                format_seconds(eij_norm) if not point.eij.timed_out else "timeout",
+                format_seconds(eij_norm, point.eij.timed_out),
                 point.eij.status,
             ]
         )
@@ -127,19 +146,35 @@ def render_fig3(points: List[Fig3Point], timeout: float = DEFAULT_TIMEOUT) -> st
             ylabel="normalized time (s/Knode)",
         )
     )
-    rho = rank_correlation(corr_pairs)
-    out.append(
-        "Spearman rank correlation (sep predicates vs EIJ time): %.2f "
-        "(paper: 'good correlation'; expect strongly positive)" % rho
-    )
     return "\n".join(out)
 
 
-def main(timeout: float = DEFAULT_TIMEOUT) -> str:
-    text = render_fig3(run_fig3(timeout=timeout), timeout=timeout)
-    print(text)
-    return text
+def claims(
+    points: List[Fig3Point], timeout: float = DEFAULT_TIMEOUT
+) -> List[Claim]:
+    """EIJ's cost tracks SepCnt, and past some count EIJ fails."""
+    rho = rank_correlation(
+        [(max(p.sep_predicates, 1), _eij_norm(p, timeout)) for p in points]
+    )
+    return [
+        Claim(
+            "FIG3",
+            "Spearman rho(SepCnt, EIJ normalized time)",
+            "%.2f" % rho,
+            "> %.1f" % MIN_RHO,
+            rho > MIN_RHO,
+        ),
+        counted(
+            "FIG3",
+            "EIJ fails on some sample formula",
+            sum(1 for p in points if p.eij.timed_out),
+            len(points),
+            1,
+        ),
+    ]
 
 
-if __name__ == "__main__":
-    main()
+def main(timeout: float = DEFAULT_TIMEOUT) -> Tuple[str, List[Claim]]:
+    points = run_fig3(timeout=timeout)
+    found = claims(points, timeout)
+    return with_claims(render_fig3(points, timeout), found), found

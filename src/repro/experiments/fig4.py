@@ -10,13 +10,20 @@ benchmarks, and HYBRID is 4–8× faster on several.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Dict, List, Tuple
+from typing import List, Tuple
 
 from ..benchgen.suite import non_invariant_suite
-from .report import ascii_scatter, format_seconds, table
+from .report import (
+    Claim,
+    ascii_scatter,
+    counted,
+    format_seconds,
+    table,
+    with_claims,
+)
 from .runner import DEFAULT_TIMEOUT, RunRow, run_benchmark
 
-__all__ = ["Fig4Row", "run_fig4", "render_fig4", "summarize_vs_hybrid"]
+__all__ = ["Fig4Row", "run_fig4", "render_fig4", "best_speedup", "claims"]
 
 
 @dataclass
@@ -41,33 +48,18 @@ def run_fig4(timeout: float = DEFAULT_TIMEOUT) -> List[Fig4Row]:
     return rows
 
 
-def summarize_vs_hybrid(
-    pairs: List[Tuple[RunRow, RunRow]], timeout: float
-) -> str:
-    """Summary lines for (hybrid, other) run pairs."""
-    wins = losses = other_timeouts = hybrid_timeouts = 0
-    max_speedup = 0.0
-    for hybrid, other in pairs:
-        if hybrid.timed_out:
-            hybrid_timeouts += 1
-            continue
-        if other.timed_out:
-            other_timeouts += 1
-            wins += 1
-            continue
-        if other.total_seconds >= hybrid.total_seconds:
-            wins += 1
-            max_speedup = max(
-                max_speedup,
-                other.total_seconds / max(hybrid.total_seconds, 1e-9),
-            )
-        else:
-            losses += 1
+def best_speedup(pairs: List[Tuple[RunRow, RunRow]]) -> str:
+    """HYBRID's largest speedup over the other procedure of the
+    (hybrid, other) pairs, on the rows both decide."""
+    ratios = [
+        other.total_seconds / max(hybrid.total_seconds, 1e-9)
+        for hybrid, other in pairs
+        if not (hybrid.timed_out or other.timed_out)
+    ]
     name = pairs[0][1].procedure if pairs else "?"
-    return (
-        "vs %s: HYBRID faster-or-equal on %d, slower on %d; %s timeouts: "
-        "%d, HYBRID timeouts: %d; best speedup %.1fx"
-        % (name, wins, losses, name, other_timeouts, hybrid_timeouts, max_speedup)
+    return "best HYBRID speedup over %s: %.1fx" % (
+        name,
+        max(ratios, default=0.0),
     )
 
 
@@ -104,20 +96,36 @@ def render_fig4(rows: List[Fig4Row], timeout: float = DEFAULT_TIMEOUT) -> str:
             ylabel="SD/EIJ time (s)",
         )
     )
-    out.append(
-        summarize_vs_hybrid([(r.hybrid, r.sd) for r in rows], timeout)
-    )
-    out.append(
-        summarize_vs_hybrid([(r.hybrid, r.eij) for r in rows], timeout)
-    )
+    out.append(best_speedup([(r.hybrid, r.sd) for r in rows]))
+    out.append(best_speedup([(r.hybrid, r.eij) for r in rows]))
     return "\n".join(out)
 
 
-def main(timeout: float = DEFAULT_TIMEOUT) -> str:
-    text = render_fig4(run_fig4(timeout=timeout), timeout=timeout)
-    print(text)
-    return text
+def claims(rows: List[Fig4Row]) -> List[Claim]:
+    """HYBRID completes on every formula; SD and EIJ each time out on
+    some."""
+    sd_failed = sum(1 for r in rows if r.sd.timed_out)
+    eij_failed = sum(1 for r in rows if r.eij.timed_out)
+    return [
+        counted(
+            "FIG4",
+            "HYBRID completes every formula",
+            sum(1 for r in rows if not r.hybrid.timed_out),
+            len(rows),
+            len(rows),
+        ),
+        Claim(
+            "FIG4",
+            "SD and EIJ each time out on some formula",
+            "SD %d/%d, EIJ %d/%d"
+            % (sd_failed, len(rows), eij_failed, len(rows)),
+            ">= 1 each",
+            sd_failed >= 1 and eij_failed >= 1,
+        ),
+    ]
 
 
-if __name__ == "__main__":
-    main()
+def main(timeout: float = DEFAULT_TIMEOUT) -> Tuple[str, List[Claim]]:
+    rows = run_fig4(timeout=timeout)
+    found = claims(rows)
+    return with_claims(render_fig4(rows, timeout), found), found

@@ -14,10 +14,17 @@ from dataclasses import dataclass
 from typing import List, Tuple
 
 from ..benchgen.suite import invariant_suite
-from .report import ascii_scatter, format_seconds, table
+from .report import (
+    Claim,
+    ascii_scatter,
+    counted,
+    format_seconds,
+    table,
+    with_claims,
+)
 from .runner import DEFAULT_TIMEOUT, RunRow, run_benchmark
 
-__all__ = ["Fig5Row", "run_fig5", "render_fig5"]
+__all__ = ["Fig5Row", "run_fig5", "render_fig5", "claims"]
 
 #: The paper lowers SEP_THOLD from its default (700 on their suite) to 100
 #: for this figure.  Our default is 100 (``DEFAULT_SEP_THOLD``, re-derived
@@ -95,29 +102,40 @@ def render_fig5(rows: List[Fig5Row], timeout: float = DEFAULT_TIMEOUT) -> str:
             ylabel="SD/EIJ time (s)",
         )
     )
-    sd_wins = sum(
-        1
-        for r in rows
-        if not r.sd.timed_out
-        and (r.hybrid.timed_out or r.sd.total_seconds <= r.hybrid.total_seconds)
-    )
-    eij_fail = sum(1 for r in rows if r.eij.timed_out)
-    default_fail = sum(1 for r in rows if r.hybrid_default.timed_out)
-    out.append(
-        "SD at-least-as-fast as HYBRID(%d) on %d/%d; EIJ failed on %d/%d; "
-        "HYBRID(default) failed on %d/%d "
-        "(paper: SD wins on all, EIJ and HYBRID-default fail on all)."
-        % (FIG5_SEP_THOLD, sd_wins, len(rows), eij_fail, len(rows),
-           default_fail, len(rows))
-    )
     return "\n".join(out)
 
 
-def main(timeout: float = DEFAULT_TIMEOUT) -> str:
-    text = render_fig5(run_fig5(timeout=timeout), timeout=timeout)
-    print(text)
-    return text
+def claims(rows: List[Fig5Row]) -> List[Claim]:
+    """SD completes every invariant formula; EIJ and HYBRID at the
+    default threshold fail every one."""
+    n = len(rows)
+    return [
+        counted(
+            "FIG5",
+            "SD completes every invariant formula",
+            sum(1 for r in rows if not r.sd.timed_out),
+            n,
+            n,
+        ),
+        counted(
+            "FIG5",
+            "EIJ fails on every invariant formula",
+            sum(1 for r in rows if r.eij.timed_out),
+            n,
+            n,
+        ),
+        counted(
+            "FIG5",
+            "HYBRID at the default SEP_THOLD fails on every invariant "
+            "formula",
+            sum(1 for r in rows if r.hybrid_default.timed_out),
+            n,
+            n,
+        ),
+    ]
 
 
-if __name__ == "__main__":
-    main()
+def main(timeout: float = DEFAULT_TIMEOUT) -> Tuple[str, List[Claim]]:
+    rows = run_fig5(timeout=timeout)
+    found = claims(rows)
+    return with_claims(render_fig5(rows, timeout), found), found

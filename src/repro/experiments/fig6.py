@@ -15,11 +15,18 @@ from dataclasses import dataclass
 from typing import List, Tuple
 
 from ..benchgen.suite import non_invariant_suite
-from .report import ascii_scatter, format_seconds, table
-from .runner import DEFAULT_TIMEOUT, RunRow, run_benchmark
-from .fig4 import summarize_vs_hybrid
+from .fig4 import best_speedup
+from .report import (
+    Claim,
+    ascii_scatter,
+    counted,
+    format_seconds,
+    table,
+    with_claims,
+)
+from .runner import DEFAULT_TIMEOUT, TIME_MARGIN, RunRow, run_benchmark
 
-__all__ = ["Fig6Row", "run_fig6", "render_fig6"]
+__all__ = ["Fig6Row", "run_fig6", "render_fig6", "claims"]
 
 
 @dataclass
@@ -75,20 +82,43 @@ def render_fig6(rows: List[Fig6Row], timeout: float = DEFAULT_TIMEOUT) -> str:
             ylabel="SVC/CVC time (s)",
         )
     )
-    out.append(
-        summarize_vs_hybrid([(r.hybrid, r.svc) for r in rows], timeout)
-    )
-    out.append(
-        summarize_vs_hybrid([(r.hybrid, r.cvc) for r in rows], timeout)
-    )
+    out.append(best_speedup([(r.hybrid, r.svc) for r in rows]))
+    out.append(best_speedup([(r.hybrid, r.cvc) for r in rows]))
     return "\n".join(out)
 
 
-def main(timeout: float = DEFAULT_TIMEOUT) -> str:
-    text = render_fig6(run_fig6(timeout=timeout), timeout=timeout)
-    print(text)
-    return text
+def claims(rows: List[Fig6Row]) -> List[Claim]:
+    """HYBRID completes on every formula, and takes at most each
+    baseline's time (plus timing noise) on at least half of them."""
+    n = len(rows)
+    return [
+        counted(
+            "FIG6",
+            "HYBRID completes every formula",
+            sum(1 for r in rows if not r.hybrid.timed_out),
+            n,
+            n,
+        ),
+        counted(
+            "FIG6",
+            "HYBRID takes at most SVC(split)'s time + %.2f s on at least "
+            "half the formulas" % TIME_MARGIN,
+            sum(1 for r in rows if r.hybrid.within(r.svc)),
+            n,
+            (n + 1) // 2,
+        ),
+        counted(
+            "FIG6",
+            "HYBRID takes at most CVC(lazy)'s time + %.2f s on at least "
+            "half the formulas" % TIME_MARGIN,
+            sum(1 for r in rows if r.hybrid.within(r.cvc)),
+            n,
+            (n + 1) // 2,
+        ),
+    ]
 
 
-if __name__ == "__main__":
-    main()
+def main(timeout: float = DEFAULT_TIMEOUT) -> Tuple[str, List[Claim]]:
+    rows = run_fig6(timeout=timeout)
+    found = claims(rows)
+    return with_claims(render_fig6(rows, timeout), found), found

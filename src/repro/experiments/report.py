@@ -1,16 +1,67 @@
-"""Plain-text rendering of the experiment outputs.
+"""Plain-text rendering of the experiment outputs, and their claims.
 
 The paper's figures are log-log scatter plots; a terminal reproduction
 prints the underlying series plus an ASCII scatter so that "points above
-the diagonal" remains readable without a plotting stack.
+the diagonal" remains readable without a plotting stack.  Under each
+figure go the paper's claims about it, each checked on the figure's rows
+(:class:`Claim`); ``repro experiment`` exits 1 when one fails.
 """
 
 from __future__ import annotations
 
 import math
+from dataclasses import dataclass
 from typing import Dict, List, Optional, Sequence, Tuple
 
-__all__ = ["table", "ascii_scatter", "format_seconds"]
+__all__ = [
+    "Claim",
+    "counted",
+    "with_claims",
+    "table",
+    "ascii_scatter",
+    "format_seconds",
+]
+
+
+@dataclass(frozen=True)
+class Claim:
+    """One claim of the paper, checked on an experiment's rows."""
+
+    artifact: str
+    statement: str
+    measured: str
+    bound: str
+    holds: bool
+
+    def __str__(self) -> str:
+        return "%s claim: %s: %s (bound %s) %s" % (
+            self.artifact,
+            self.statement,
+            self.measured,
+            self.bound,
+            "holds" if self.holds else "FAILS",
+        )
+
+
+def counted(
+    artifact: str, statement: str, count: int, total: int, least: int
+) -> Claim:
+    """The claim that ``count`` of ``total`` rows is at least ``least``.
+
+    A claim checked on no rows does not hold.
+    """
+    return Claim(
+        artifact,
+        statement,
+        "%d/%d" % (count, total),
+        ">= %d" % least,
+        total > 0 and count >= least,
+    )
+
+
+def with_claims(text: str, claims: Sequence[Claim]) -> str:
+    """``text`` followed by one line per claim."""
+    return "\n".join([text] + [str(claim) for claim in claims])
 
 
 def format_seconds(value: Optional[float], timed_out: bool = False) -> str:

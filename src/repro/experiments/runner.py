@@ -11,8 +11,8 @@ scatter figures).
 from __future__ import annotations
 
 import time
-from dataclasses import dataclass, field
-from typing import Callable, Dict, List, Optional
+from dataclasses import dataclass
+from typing import Callable, Dict
 
 from ..benchgen.base import Benchmark
 from ..core.status import Status
@@ -22,13 +22,17 @@ from ..engine.contract import SolveOutcome, SolveRequest
 __all__ = [
     "RunRow",
     "run_benchmark",
-    "run_suite",
     "PROCEDURES",
     "DEFAULT_TIMEOUT",
+    "TIME_MARGIN",
 ]
 
 #: Default wall-clock budget per (benchmark, procedure) run, seconds.
 DEFAULT_TIMEOUT = 20.0
+
+#: Timing noise forgiven when a claim says one run is no slower than
+#: another, seconds.
+TIME_MARGIN = 0.05
 
 
 @dataclass
@@ -46,6 +50,7 @@ class RunRow:
     conflict_clauses: int = 0
     sep_predicates: int = 0
     dag_size: int = 0
+    refinements: int = 0
     detail: str = ""
 
     @property
@@ -56,6 +61,14 @@ class RunRow:
     def normalized_seconds(self) -> float:
         """Seconds per thousand DAG nodes (Figure 3's y-axis)."""
         return self.total_seconds / max(self.dag_size / 1000.0, 1e-9)
+
+    def within(self, other: "RunRow") -> bool:
+        """Decided, and at most :data:`TIME_MARGIN` slower than
+        ``other``; a run that failed is slower than any decided one."""
+        return not self.timed_out and (
+            other.timed_out
+            or self.total_seconds <= other.total_seconds + TIME_MARGIN
+        )
 
 
 def _run_engine(
@@ -93,13 +106,15 @@ def _procedure(engine: str, **default_options) -> Callable:
 #: Display name → runner.  Every procedure dispatches through
 #: :mod:`repro.engine.registry`; the keys are the paper's labels.
 #: HYBRID runs the paper's SepCnt rule alone, as Figs. 3–5, THOLD and
-#: the ablations reproduce the paper's HYBRID.
+#: the ablations reproduce the paper's HYBRID.  A keyword named by a
+#: procedure's options overrides it per run: ABL3 runs CVC(lazy) with
+#: ``incremental=False``.
 PROCEDURES: Dict[str, Callable] = {
     "SD": _procedure("sd"),
     "EIJ": _procedure("eij"),
     "HYBRID": _procedure("hybrid", paper_rule=True),
     "STATIC": _procedure("static"),
-    "CVC(lazy)": _procedure("lazy"),
+    "CVC(lazy)": _procedure("lazy", incremental=True),
     "SVC(split)": _procedure("svc", max_splits=2_000_000),
     "PORTFOLIO": _procedure("portfolio"),
 }
@@ -140,18 +155,6 @@ def run_benchmark(
         conflict_clauses=stats.conflict_clauses,
         sep_predicates=stats.sep_predicates,
         dag_size=bench.dag_size,
+        refinements=stats.counter("refine", "iterations"),
         detail=result.detail,
     )
-
-
-def run_suite(
-    benchmarks: List[Benchmark],
-    procedures: List[str],
-    timeout: float = DEFAULT_TIMEOUT,
-    **kw,
-) -> List[RunRow]:
-    rows: List[RunRow] = []
-    for bench in benchmarks:
-        for procedure in procedures:
-            rows.append(run_benchmark(bench, procedure, timeout, **kw))
-    return rows

@@ -11,11 +11,12 @@ from __future__ import annotations
 from typing import List, Tuple
 
 from ..benchgen.suite import sample16
+from ..encodings.hybrid import DEFAULT_SEP_THOLD
 from ..encodings.threshold import ThresholdSelection, select_threshold
-from .report import format_seconds, table
+from .report import Claim, format_seconds, table, with_claims
 from .runner import DEFAULT_TIMEOUT, run_benchmark
 
-__all__ = ["run_threshold_selection", "render_threshold"]
+__all__ = ["run_threshold_selection", "render_threshold", "claims"]
 
 
 def run_threshold_selection(
@@ -61,12 +62,20 @@ def render_threshold(selection: ThresholdSelection, rows) -> str:
     return "\n".join(out)
 
 
-def main(timeout: float = DEFAULT_TIMEOUT) -> str:
+def claims(selection: ThresholdSelection) -> List[Claim]:
+    """The selection picks the SEP_THOLD every solve uses."""
+    return [
+        Claim(
+            "THOLD",
+            "the selection picks DEFAULT_SEP_THOLD",
+            "%d" % selection.threshold,
+            "== %d" % DEFAULT_SEP_THOLD,
+            selection.threshold == DEFAULT_SEP_THOLD,
+        )
+    ]
+
+
+def main(timeout: float = DEFAULT_TIMEOUT) -> Tuple[str, List[Claim]]:
     selection, rows = run_threshold_selection(timeout)
-    text = render_threshold(selection, rows)
-    print(text)
-    return text
-
-
-if __name__ == "__main__":
-    main()
+    found = claims(selection)
+    return with_claims(render_threshold(selection, rows), found), found

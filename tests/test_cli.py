@@ -7,9 +7,13 @@ import sys
 
 import pytest
 
+from repro import experiments
 from repro.benchgen.suite import benchmark_by_name
 from repro.cli import build_parser, main
 from repro.encodings.hybrid import DEFAULT_SEP_THOLD, DEFAULT_TRANS_BUDGET
+from repro.experiments import fig5
+from repro.experiments.report import Claim, with_claims
+from repro.experiments.runner import RunRow
 from repro.logic.printer import to_sexpr
 
 
@@ -319,3 +323,68 @@ class TestNoPreprocessFlag:
         )
         assert code == 1
         assert "countermodel:" in out
+
+
+def invariant_rows(eij_status):
+    """One synthetic Fig. 5 row: SD decides, default HYBRID fails, and
+    EIJ ends with ``eij_status``."""
+
+    def run(procedure, status):
+        return RunRow(
+            benchmark="invariant_n10_1",
+            domain="invariant",
+            procedure=procedure,
+            status=status,
+            total_seconds=1.0,
+        )
+
+    return [
+        fig5.Fig5Row(
+            benchmark="invariant_n10_1",
+            hybrid=run("HYBRID", "VALID"),
+            hybrid_default=run("HYBRID", "TRANSLATION_LIMIT"),
+            sd=run("SD", "VALID"),
+            eij=run("EIJ", eij_status),
+        )
+    ]
+
+
+class TestExperimentCommand:
+    @pytest.mark.parametrize(
+        "eij_status, code, line",
+        [
+            ("TRANSLATION_LIMIT", 0, "1/1 (bound >= 1) holds"),
+            ("VALID", 1, "0/1 (bound >= 1) FAILS"),
+        ],
+    )
+    def test_exit_status_follows_the_claims(
+        self, monkeypatch, tmp_path, eij_status, code, line
+    ):
+        monkeypatch.setattr(
+            fig5, "run_fig5", lambda timeout: invariant_rows(eij_status)
+        )
+        saved = tmp_path / "fig5.txt"
+        result, out = run_cli(["experiment", "fig5", "--save", str(saved)])
+        assert result == code
+        claim = "FIG5 claim: EIJ fails on every invariant formula: " + line
+        assert claim in out.splitlines()
+        assert saved.read_text() == out
+
+    def test_all_runs_every_experiment_before_failing(self, monkeypatch):
+        ran = []
+
+        def driver(name):
+            def run(timeout):
+                ran.append(name)
+                claim = Claim(name, "synthetic", "1/1", ">= 1", name != "fig3")
+                return with_claims(name, [claim]), [claim]
+
+            return run
+
+        for name in experiments.EXPERIMENTS:
+            monkeypatch.setitem(experiments.EXPERIMENTS, name, driver(name))
+        code, out = run_cli(["experiment", "all"])
+        assert code == 1
+        assert ran == list(experiments.EXPERIMENTS)
+        assert out.count(" holds\n") == 6
+        assert "fig3 claim: synthetic: 1/1 (bound >= 1) FAILS" in out

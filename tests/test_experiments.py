@@ -1,7 +1,8 @@
 """Tests for the experiment harness (runner, report, figure drivers).
 
 Figure drivers are exercised on tiny custom benchmarks or micro-timeouts
-so the test suite stays fast; the full-scale runs live in ``benchmarks/``.
+so the test suite stays fast; ``repro experiment all`` (``make
+paper-claims``) runs them at full scale and checks the paper's claims.
 """
 
 import pytest
@@ -9,11 +10,11 @@ import pytest
 from repro.benchgen.pipeline import make_pipeline
 from repro.benchgen.invariant import make_invariant
 from repro.benchgen.suite import benchmark_by_name
-from repro.engine import registry
+from repro.engine import engines, registry
 from repro.engine.contract import SolveRequest
 from repro.experiments import report, runner
 from repro.experiments.fig3 import rank_correlation
-from repro.experiments.fig4 import summarize_vs_hybrid
+from repro.experiments.fig4 import best_speedup
 
 
 class TestRunner:
@@ -59,10 +60,22 @@ class TestRunner:
         with pytest.raises(AssertionError):
             runner.run_benchmark(bench, "HYBRID", timeout=20.0)
 
-    def test_run_suite(self):
-        benches = [make_pipeline(stages=2, reads=2, seed=s) for s in (0, 1)]
-        rows = runner.run_suite(benches, ["HYBRID", "EIJ"], timeout=20.0)
-        assert len(rows) == 4
+    @pytest.mark.parametrize(
+        "kw, incremental", [({}, True), ({"incremental": False}, False)]
+    )
+    def test_lazy_refinement_mode(self, monkeypatch, kw, incremental):
+        seen = []
+        solve = engines.check_validity_lazy
+
+        def spy(formula, **options):
+            seen.append(options["incremental"])
+            return solve(formula, **options)
+
+        monkeypatch.setattr(engines, "check_validity_lazy", spy)
+        bench = make_pipeline(stages=2, reads=2, seed=0)
+        row = runner.run_benchmark(bench, "CVC(lazy)", timeout=20.0, **kw)
+        assert row.status == "VALID" and row.refinements > 0
+        assert seen == [incremental]
 
     def test_normalized_seconds(self):
         bench = make_pipeline(stages=2, reads=2, seed=0)
@@ -123,12 +136,13 @@ class TestFigureHelpers:
         assert rank_correlation([(1, 1.0)]) == 0.0
         assert rank_correlation([(1, 1.0), (1, 2.0)]) == 0.0
 
-    def test_summarize_vs_hybrid(self):
+    def test_best_speedup(self):
         bench = make_pipeline(stages=2, reads=2, seed=0)
         fast = runner.run_benchmark(bench, "HYBRID", timeout=20.0)
         slow = runner.run_benchmark(bench, "SD", timeout=20.0)
-        text = summarize_vs_hybrid([(fast, slow)], timeout=20.0)
-        assert "vs SD" in text
+        text = best_speedup([(fast, slow)])
+        assert text.startswith("best HYBRID speedup over SD: ")
+        assert best_speedup([]) == "best HYBRID speedup over ?: 0.0x"
 
 
 class TestThresholdExperimentPieces:

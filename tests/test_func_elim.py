@@ -76,6 +76,14 @@ class TestBasicElimination:
         assert not has_applications(result)
         assert len(info.pred_consts["p"]) == 2
 
+    def test_one_constant_per_distinct_argument(self):
+        f = b.func("f")
+        xs = [b.const("fe%d" % i) for i in range(30)]
+        chain = [b.eq(f(xs[i]), f(xs[i + 1])) for i in range(29)]
+        formula = b.implies(b.band(*chain), b.eq(f(xs[0]), f(xs[29])))
+        _result, info = eliminate_applications(formula)
+        assert len(info.func_consts["f"]) == 30
+
     def test_no_applications_is_identity(self):
         x, y = b.const("x"), b.const("y")
         formula = b.implies(b.eq(x, y), b.le(x, y))

@@ -85,6 +85,18 @@ class TestBasics:
         # definition of `shared` would add 3 more.
         assert len(cnf1.clauses) == 11
 
+    def test_deep_chain_is_not_folded(self):
+        atoms = [b.bconst("ts%d" % i) for i in range(64)]
+        formula = b.bconst("seed")
+        for i in range(200):
+            # The iff operands are always distinct (6i = -1 mod 64 has no
+            # solution), so no sub-formula folds to a constant.
+            formula = b.bor(
+                b.band(atoms[i % 64], formula),
+                b.iff(atoms[(i * 7) % 64], atoms[(i * 13 + 1) % 64]),
+            )
+        assert len(to_cnf(formula).clauses) > 100
+
     def test_model_agrees_with_semantics(self):
         p, q, r = b.bconst("p"), b.bconst("q"), b.bconst("r")
         formula = b.band(b.iff(p, b.bnot(q)), b.implies(q, r), b.bor(p, q))
