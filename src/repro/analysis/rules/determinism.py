@@ -1,7 +1,7 @@
 """Determinism rules: the canonical-key / fingerprint contract.
 
-The result cache and the batch dedupe path key verdicts on sha256
-digests of canonical text (``logic/canonical.py``, ``service/cache.py``).
+The result cache and sessions key verdicts on sha256 digests of
+canonical text (``logic/canonical.py``, ``service/cache.py``).
 Those digests must be *process-stable*: equal across runs, interpreter
 restarts, and machines.  Anything that leaks per-process state — object
 identities, unordered ``set`` iteration, wall-clock time, randomness —

@@ -43,8 +43,8 @@ class Benchmark:
 
         The single shared keying helper
         (:func:`repro.logic.canonical.canonical_key`) — the same digest
-        the result cache and batch dedupe use, so a benchmark's identity
-        in reports lines up with its cache entry.
+        the result cache uses, so a benchmark's identity in reports
+        lines up with its cache entry.
         """
         from ..logic.canonical import canonical_key
 

@@ -13,8 +13,8 @@ Subcommands
 ``suite``
     List the 49-benchmark suite.
 ``portfolio FILE...``
-    Race every engine on each formula (first decided verdict wins);
-    multiple files are decided concurrently by a worker pool.
+    Race every engine on each formula (first decided verdict wins),
+    one file after another in input order.
 ``compete DIR...``
     Sweep directories of SMT-LIB 2 benchmarks through one or more
     engines with per-instance timeouts, check every verdict against the
@@ -171,12 +171,6 @@ def build_parser() -> argparse.ArgumentParser:
         "(default: every engine)",
     )
     portfolio.add_argument("--timeout", type=float, default=None)
-    portfolio.add_argument(
-        "--jobs",
-        type=int,
-        default=None,
-        help="worker-pool size when deciding multiple files",
-    )
     portfolio.add_argument(
         "--sequential",
         action="store_true",
@@ -596,36 +590,23 @@ def _cmd_suite(_args) -> int:
 
 
 def _cmd_portfolio(args) -> int:
-    from .engine.portfolio import solve_batch, solve_portfolio
+    from .engine.portfolio import solve_portfolio
 
     try:
         engines = _parse_engine_list(args.engines)
     except ValueError as exc:
         print("error: %s" % exc, file=sys.stderr)
         return 2
-    if engines is None:
-        from .engine.portfolio import default_members
 
-        engines = default_members()
-
+    # Read every file before the first race, so a bad one exits 2 at once.
     formulas = [_read_formula(path, "auto")[0] for path in args.files]
-    if len(formulas) == 1:
-        outcomes = [
-            solve_portfolio(
-                SolveRequest(formula=formulas[0], time_limit=args.timeout),
-                engines=engines,
-                parallel=not args.sequential,
-            )
-        ]
-    else:
-        outcomes = solve_batch(
-            formulas,
-            engines=engines,
-            jobs=args.jobs,
-            time_limit=args.timeout,
-        )
     exit_code = 0
-    for path, outcome in zip(args.files, outcomes):
+    for path, formula in zip(args.files, formulas):
+        outcome = solve_portfolio(
+            SolveRequest(formula=formula, time_limit=args.timeout),
+            engines=engines,
+            parallel=not args.sequential,
+        )
         print(
             "%s: %s winner=%s time=%.3fs"
             % (

@@ -44,17 +44,16 @@ SEARCH_STAGES: FrozenSet[str] = frozenset(
 class CacheStats:
     """Result-cache counters for one solve (or an aggregation of many).
 
-    Attached to :class:`DecisionStats` by the ``cached`` engine wrapper
-    and the batch dedupe path (:func:`repro.engine.portfolio.solve_batch`)
-    so cache behaviour shows up in the same telemetry stream as every
-    other stage.
+    Attached to :class:`DecisionStats` by the result cache
+    (:func:`repro.service.cache.solve_cached`, behind the ``cached``
+    engine and ``repro serve``) so cache behaviour shows up in the same
+    telemetry stream as every other stage.
     """
 
     hits_memory: int = 0
     hits_disk: int = 0
     misses: int = 0
     stores: int = 0
-    dedupes: int = 0
 
     @property
     def hits(self) -> int:
@@ -65,7 +64,6 @@ class CacheStats:
         self.hits_disk += other.hits_disk
         self.misses += other.misses
         self.stores += other.stores
-        self.dedupes += other.dedupes
 
 
 @dataclass

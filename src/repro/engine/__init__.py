@@ -9,7 +9,7 @@
 * :mod:`repro.engine.registry` — name → engine resolution for every
   front end (CLI, fuzzer, experiments);
 * :mod:`repro.engine.portfolio` — the process-parallel portfolio race
-  with first-decided-wins cancellation and the batch API;
+  with first-decided-wins cancellation;
 * :mod:`repro.engine.session` — incremental assertion-stack sessions
   (``assert_formula`` / ``push`` / ``pop`` / ``check_sat`` /
   ``last_core``) over one long-lived assumption-capable CDCL solver.
@@ -26,7 +26,7 @@ Quickstart::
 from . import registry
 from .base import Engine
 from .contract import SolveOutcome, SolveRequest
-from .portfolio import solve_batch, solve_portfolio
+from .portfolio import solve_portfolio
 from .session import CheckResult, Session, SessionError
 from .stages import run_eager
 
@@ -36,7 +36,6 @@ __all__ = [
     "SolveRequest",
     "SolveOutcome",
     "solve_portfolio",
-    "solve_batch",
     "run_eager",
     "Session",
     "SessionError",

@@ -42,7 +42,6 @@ class SolveRequest:
     formula: Formula
     want_countermodel: bool = True
     time_limit: Optional[float] = None
-    conflict_limit: Optional[int] = None
     sep_thold: int = DEFAULT_SEP_THOLD
     trans_budget: int = DEFAULT_TRANS_BUDGET
     sd_ranges: str = "uniform"

@@ -1,9 +1,9 @@
 """Cube-and-conquer: split one hard formula, conquer cubes in parallel.
 
-The portfolio (PR 2) parallelises across *engines* and ``solve_batch``
-dedupes across *formulas*; this module parallelises **within** one
-formula.  The eager pipeline runs unchanged up to the SAT stage
-(:func:`repro.engine.stages.run_eager` with a ``sat_runner``), then:
+The portfolio parallelises across *engines*; this module parallelises
+**within** one formula.  The eager pipeline runs unchanged up to the SAT
+stage (:func:`repro.engine.stages.run_eager` with a ``sat_runner``),
+then:
 
 1. :func:`repro.sat.cubes.generate_cubes` splits the CNF into assumption
    cubes, preferring the separation-predicate (EIJ) variables surfaced
@@ -22,10 +22,10 @@ formula.  The eager pipeline runs unchanged up to the SAT stage
    with a doubled budget — work-stealing-style dynamic refutation, so
    one pathological cube cannot stall the run.
 
-With a single worker (or inside a daemonic pool process, which cannot
-fork) the conductor degrades to sequential conquering in one resident
-solver — still profitable, because every cube inherits the full learned
-clause database of its predecessors.
+With a single worker (or inside a daemonic process such as a race
+member, which cannot fork) the conductor degrades to sequential
+conquering in one resident solver — still profitable, because every
+cube inherits the full learned clause database of its predecessors.
 """
 
 from __future__ import annotations
@@ -188,7 +188,7 @@ def _conquer_sequential(
     deadline: Optional[float] = None
     if request.time_limit is not None:
         deadline = time.time() + request.time_limit
-    solver = CdclSolver(cnf, max_conflicts=request.conflict_limit)
+    solver = CdclSolver(cnf)
     for unit in units:
         solver.add_clause([unit])
     for cube in cubes:
@@ -199,7 +199,7 @@ def _conquer_sequential(
             solver.time_limit = remaining
         result = solver.solve_under_assumptions(cube)
         if result.status != "UNSAT":
-            # SAT: a satisfiable cube gives the model; UNKNOWN: budget.
+            # SAT: a satisfiable cube gives the model; UNKNOWN: deadline.
             return SatResult(
                 status=result.status,
                 model=result.model,
@@ -286,13 +286,6 @@ def _conquer_parallel(
             if deadline is not None and time.time() > deadline:
                 status = "UNKNOWN"
                 break
-            if request.conflict_limit is not None:
-                total_conflicts = sum(
-                    int(snap["conflicts"]) for snap in latest.values()
-                )
-                if total_conflicts >= request.conflict_limit:
-                    status = "UNKNOWN"
-                    break
             try:
                 wid, cube_id, cube_status, cube_model, snap = result_q.get(
                     timeout=_POLL_SECONDS
@@ -380,8 +373,8 @@ def conquer(
             status="UNSAT", stats=SatStats(original_clauses=len(cnf))
         )
 
-    # Daemonic pool workers (portfolio members, batch workers) cannot
-    # fork children; degrade to sequential conquering there.
+    # A daemonic process (a portfolio race member) cannot fork
+    # children; degrade to sequential conquering there.
     if procs <= 1 or multiprocessing.current_process().daemon:
         return _conquer_sequential(
             cnf, cube_set.cubes, cube_set.units, request, record

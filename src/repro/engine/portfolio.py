@@ -8,7 +8,7 @@ Python and CPU-bound, so threads would serialize on the GIL); the first
 is terminated.  Ties — two members decided within the same poll tick —
 are broken by registry priority order, which makes the winning engine
 deterministic whenever completion order is (and is also what the
-sequential fallback and the batch API use).
+sequential fallback uses).
 
 At most one member runs per usable CPU.  Members start in priority
 order, and the next one starts when a running member reports without a
@@ -18,10 +18,6 @@ decide different families, and the other members mostly decide what
 HYBRID decides.  The price: with fewer CPUs than members, a later
 member gets CPU only once an earlier one gives up, so a formula that
 only it decides, while the first members run to the deadline, is lost.
-
-``solve_batch`` decides many formulas with a worker pool; pool workers
-are daemonic (they cannot fork grandchildren), so each item runs the
-sequential portfolio in-process.
 """
 
 from __future__ import annotations
@@ -36,16 +32,10 @@ from typing import Any, Collection, Dict, List, Optional, Sequence, Tuple
 
 from ..core.status import Status
 from ..logic.printer import to_sexpr
-from ..logic.terms import Formula
 from .base import Engine
 from .contract import SolveOutcome, SolveRequest
 
-__all__ = [
-    "PortfolioEngine",
-    "solve_portfolio",
-    "solve_batch",
-    "default_members",
-]
+__all__ = ["PortfolioEngine", "solve_portfolio", "default_members"]
 
 #: How long a cancelled member may take to die before escalating to kill.
 _TERMINATE_GRACE = 2.0
@@ -56,11 +46,8 @@ _POLL_SECONDS = 0.05
 
 #: The meta-engines, never default race members.  Racing the race is
 #: circular, and a cache member adds nothing but a second
-#: canonicalization of the same formula.  ``cube`` is the *escalation*
-#: level — ``solve_batch`` re-runs undecided formulas through
-#: cube-and-conquer after the race — and a race member that forks its
-#: own worker fleet would oversubscribe the machine for every easy
-#: formula.
+#: canonicalization of the same formula.  ``cube`` forks its own worker
+#: fleet, which would oversubscribe the machine for every easy formula.
 _META_ENGINES = ("portfolio", "cached", "cube")
 
 
@@ -405,175 +392,12 @@ def _cancel_losers(
     return cancelled
 
 
-# ---------------------------------------------------------------------------
-# Batch API
-# ---------------------------------------------------------------------------
-
-
-def _cube_escalate(
-    formulas: Sequence[Formula],
-    outcomes: List[SolveOutcome],
-    request_kwargs: Dict[str, Any],
-) -> None:
-    """Third scheduling level: cube-and-conquer for undecided formulas.
-
-    ``solve_batch`` schedules work at three grains — dedupe across
-    formulas, the portfolio race across engines, and (here) cubes
-    *within* a formula: anything the race left undecided is re-run
-    through the ``cube`` engine from the parent process, where the
-    conductor may fork real workers.  The conflict limit is dropped on
-    escalation (it is what usually defeated the race members); the
-    wall-clock budget still applies.
-    """
-    from . import registry
-
-    engine = registry.get("cube")
-    for idx, outcome in enumerate(outcomes):
-        if outcome.decided:
-            continue
-        kwargs = dict(request_kwargs)
-        kwargs["conflict_limit"] = None
-        try:
-            escalated = engine.solve(
-                SolveRequest(formula=formulas[idx], **kwargs)
-            )
-        except Exception as exc:  # escalation must never lose a verdict
-            outcome.detail = (
-                "%s; cube escalation failed: %s" % (outcome.detail, exc)
-                if outcome.detail
-                else "cube escalation failed: %s" % exc
-            )
-            continue
-        if escalated.decided:
-            escalated.detail = (
-                "cube escalation after undecided portfolio"
-                if not escalated.detail
-                else escalated.detail
-            )
-            outcomes[idx] = escalated
-
-
-def _batch_worker(item: Tuple[Dict[str, Any], List[str]]) -> SolveOutcome:
-    payload, members = item
-    return _solve_sequential(_request_from_payload(payload), members)
-
-
-def _solve_batch_raw(
-    formulas: Sequence[Formula],
-    members: List[str],
-    jobs: Optional[int],
-    request_kwargs: Dict[str, Any],
-) -> List[SolveOutcome]:
-    """The pool itself: one sequential portfolio per formula, input order."""
-    items = [
-        (
-            _request_payload(SolveRequest(formula=f, **request_kwargs)),
-            members,
-        )
-        for f in formulas
-    ]
-    if jobs is None:
-        jobs = min(len(items), _usable_cpus())
-    if jobs <= 1 or len(items) == 1:
-        return [_batch_worker(item) for item in items]
-    ctx = _mp_context()
-    with ctx.Pool(processes=jobs) as pool:
-        return pool.map(_batch_worker, items)
-
-
-def solve_batch(
-    formulas: Sequence[Formula],
-    engines: Optional[Sequence[str]] = None,
-    jobs: Optional[int] = None,
-    **request_kwargs: Any,
-) -> List[SolveOutcome]:
-    """Decide many formulas with a pool of portfolio workers.
-
-    The batch is first partitioned into alpha-isomorphism classes via
-    :func:`repro.logic.canonical.canonicalize`.  Each class is decided
-    once, on its canonical representative, by the *sequential* portfolio
-    inside one pool worker (pool children are daemonic and cannot fork
-    the parallel race); parallelism comes from deciding ``jobs`` classes
-    at once.  The verdict is fanned out to every member of the class and
-    countermodels are lifted back through each member's renaming map;
-    fanned-out outcomes carry ``stats.cache.dedupes = 1``.  Results keep
-    the input order.
-
-    Unless ``cube`` is itself a member, classes the portfolio leaves
-    undecided are escalated to the ``cube`` engine — the third
-    scheduling level: dedupe across formulas, race across engines,
-    cube-and-conquer within a formula (see :func:`_cube_escalate`).
-    """
-    members = _resolve_members(engines)
-    formulas = list(formulas)
-    if not formulas:
-        return []
-
-    from ..core.result import CacheStats, DecisionStats
-    from ..logic.canonical import canonicalize, lift_interpretation
-
-    # Hash-consing makes repeated formulas *identical* objects, so an
-    # identity memo gives one canonicalization per distinct formula —
-    # intra-batch dedupe hits skip the (linear-size) renaming walk.
-    memo: Dict[Formula, Any] = {}
-    forms = []
-    for f in formulas:
-        form = memo.get(f)
-        if form is None:
-            form = canonicalize(f)
-            memo[f] = form
-        forms.append(form)
-    order: List[str] = []
-    classes: Dict[str, List[int]] = {}
-    for idx, form in enumerate(forms):
-        if form.key not in classes:
-            classes[form.key] = []
-            order.append(form.key)
-        classes[form.key].append(idx)
-
-    canonical_formulas = [forms[classes[key][0]].formula for key in order]
-    solved = _solve_batch_raw(
-        canonical_formulas, members, jobs, request_kwargs
-    )
-    if "cube" not in members:
-        # Escalate before the fan-out so a cube verdict reaches every
-        # isomorphic duplicate.
-        _cube_escalate(canonical_formulas, solved, request_kwargs)
-
-    results: List[Optional[SolveOutcome]] = [None] * len(formulas)
-    for key, canon in zip(order, solved):
-        indices = classes[key]
-        canonical_model = canon.counterexample
-        for position, idx in enumerate(indices):
-            lifted = (
-                lift_interpretation(canonical_model, forms[idx])
-                if canonical_model is not None
-                else None
-            )
-            if position == 0:
-                canon.counterexample = lifted
-                results[idx] = canon
-                continue
-            stats = DecisionStats(method=canon.stats.method)
-            stats.cache = CacheStats(dedupes=1)
-            results[idx] = SolveOutcome(
-                engine=canon.engine,
-                status=canon.status,
-                stats=stats,
-                counterexample=lifted,
-                detail="deduped within batch (isomorphic to item %d)"
-                % indices[0],
-                winner=canon.winner,
-            )
-    return [outcome for outcome in results if outcome is not None]
-
-
 class PortfolioEngine(Engine):
     """The default-member portfolio as a registry engine of its own.
 
-    Inside a daemonic process (a race member, a batch pool worker),
-    which cannot fork the race's members, it runs the sequential
-    portfolio instead.
+    Inside a daemonic process (a member of an enclosing race), which
+    cannot fork the race's members, it runs the sequential portfolio
+    instead.
     """
 
     name = "portfolio"

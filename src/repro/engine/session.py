@@ -40,8 +40,8 @@ Satisfiability maps onto the validity question every engine speaks: the
 conjunction ``F`` is satisfiable iff ``Not(F)`` is INVALID, and a
 countermodel of ``Not(F)`` *is* a model of ``F``.  The session reuses
 the canonicalization key of ``Not(F)``, so its cache entries are
-ordinary validity entries — sessions, ``repro check``, ``repro serve``
-and ``solve_batch`` all compose with the same two-tier result cache.
+ordinary validity entries — sessions, ``repro check`` and ``repro
+serve`` all compose with the same two-tier result cache.
 """
 
 from __future__ import annotations

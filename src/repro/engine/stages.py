@@ -188,11 +188,7 @@ def run_eager(
         if sat_runner is not None:
             sat_result = sat_runner(solver_cnf, request, rec, sep_cnf_vars)
         else:
-            solver = CdclSolver(
-                solver_cnf,
-                max_conflicts=request.conflict_limit,
-                time_limit=request.time_limit,
-            )
+            solver = CdclSolver(solver_cnf, time_limit=request.time_limit)
             sat_result = solver.solve()
         stats.sat = sat_result.stats
         rec.counters["decisions"] = sat_result.stats.decisions

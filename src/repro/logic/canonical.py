@@ -14,8 +14,8 @@ and a countermodel transfers by renaming.  This module computes
   (:func:`lift_interpretation`).
 
 The result cache (:mod:`repro.service.cache`) keys verdicts on the
-canonical key; ``solve_batch`` uses the canonical *formula* to dedupe
-isomorphism classes inside one batch.
+canonical key and solves the canonical *formula*, so a countermodel it
+stores lifts to every member of the isomorphism class.
 
 Construction
 ------------

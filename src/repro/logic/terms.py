@@ -131,12 +131,6 @@ class Node:
         """Immediate sub-nodes, in syntactic order."""
         return ()
 
-    def is_term(self) -> bool:
-        return isinstance(self, Term)
-
-    def is_formula(self) -> bool:
-        return isinstance(self, Formula)
-
     def __repr__(self) -> str:
         from .printer import to_sexpr
 

@@ -167,10 +167,6 @@ class Cnf:
     # -- reading -------------------------------------------------------------
 
     @property
-    def clause_count(self) -> int:
-        return len(self._starts) - 1
-
-    @property
     def literal_count(self) -> int:
         return len(self._lits)
 

@@ -143,18 +143,9 @@ class PreprocessResult:
 class _Preprocessor:
     """One-shot occurrence-list simplifier over a clause database."""
 
-    def __init__(
-        self,
-        cnf: Cnf,
-        bve_occ_limit: int = DEFAULT_BVE_OCC_LIMIT,
-        bve_clause_limit: int = DEFAULT_BVE_CLAUSE_LIMIT,
-        max_rounds: int = DEFAULT_MAX_ROUNDS,
-    ) -> None:
+    def __init__(self, cnf: Cnf) -> None:
         self.cnf = cnf
         self.nvars = cnf.num_vars
-        self.bve_occ_limit = bve_occ_limit
-        self.bve_clause_limit = bve_clause_limit
-        self.max_rounds = max_rounds
         self.stats = PreprocessStats(
             vars_before=cnf.num_vars,
             clauses_before=len(cnf),
@@ -369,8 +360,8 @@ class _Preprocessor:
             if not pos or not neg:
                 continue  # absent or pure; not a resolution candidate
             if (
-                len(pos) > self.bve_occ_limit
-                or len(neg) > self.bve_occ_limit
+                len(pos) > DEFAULT_BVE_OCC_LIMIT
+                or len(neg) > DEFAULT_BVE_OCC_LIMIT
             ):
                 continue
             if self._eliminate(var, sorted(pos), sorted(neg)):
@@ -382,7 +373,7 @@ class _Preprocessor:
     ) -> bool:
         pos_cls = [self.clauses[ci] for ci in pos]
         neg_cls = [self.clauses[ci] for ci in neg]
-        limit = self.bve_clause_limit
+        limit = DEFAULT_BVE_CLAUSE_LIMIT
         if any(len(c) > limit for c in pos_cls) or any(
             len(c) > limit for c in neg_cls
         ):
@@ -448,7 +439,7 @@ class _Preprocessor:
         self._propagate()
 
         rounds = 0
-        while not self.contradiction and rounds < self.max_rounds:
+        while not self.contradiction and rounds < DEFAULT_MAX_ROUNDS:
             rounds += 1
             changed = self._subsumption_pass()
             self._propagate()
@@ -488,12 +479,7 @@ class _Preprocessor:
         )
 
 
-def preprocess_cnf(
-    cnf: Cnf,
-    bve_occ_limit: int = DEFAULT_BVE_OCC_LIMIT,
-    bve_clause_limit: int = DEFAULT_BVE_CLAUSE_LIMIT,
-    max_rounds: int = DEFAULT_MAX_ROUNDS,
-) -> PreprocessResult:
+def preprocess_cnf(cnf: Cnf) -> PreprocessResult:
     """Simplify ``cnf``; the input is not mutated.
 
     Returns a :class:`PreprocessResult` whose ``simplified`` CNF is
@@ -501,9 +487,4 @@ def preprocess_cnf(
     reconstruct` maps any model of the simplified CNF back to a model of
     the input.
     """
-    return _Preprocessor(
-        cnf,
-        bve_occ_limit=bve_occ_limit,
-        bve_clause_limit=bve_clause_limit,
-        max_rounds=max_rounds,
-    ).run()
+    return _Preprocessor(cnf).run()

@@ -79,12 +79,6 @@ class SeparationAnalysis:
     def total_sep_count(self) -> int:
         return sum(c.sep_count for c in self.classes)
 
-    def max_range(self) -> int:
-        return max((c.range_size for c in self.classes), default=0)
-
-    def total_range(self) -> int:
-        return sum(c.range_size for c in self.classes)
-
 
 def analyze_separation(
     f_sep: Formula, positive_equality: bool = True

@@ -122,10 +122,10 @@ def config_fingerprint(engine_name: str, request: SolveRequest) -> str:
 
     Two requests share a fingerprint exactly when a cached VALID/INVALID
     verdict for one is trustworthy for the other: same engine, same
-    encoding knobs, same schema and canonicalization versions.  Resource
-    limits (``time_limit`` / ``conflict_limit``) are deliberately *not*
-    part of the fingerprint — only decided verdicts are stored, and a
-    decided verdict is limit-independent.
+    encoding knobs, same schema and canonicalization versions.  The
+    resource limit (``time_limit``) is deliberately *not* part of the
+    fingerprint — only decided verdicts are stored, and a decided
+    verdict is limit-independent.
     """
     options = {
         key: request.options[key]

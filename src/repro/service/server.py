@@ -358,7 +358,6 @@ def _cache_section(outcome: SolveOutcome) -> Optional[Dict[str, int]]:
         "hits_disk": stats.hits_disk,
         "misses": stats.misses,
         "stores": stats.stores,
-        "dedupes": stats.dedupes,
     }
 
 

@@ -73,9 +73,6 @@ class PolarityInfo:
     p_vars: Set[Var] = field(default_factory=set)
     g_vars: Set[Var] = field(default_factory=set)
 
-    def is_p(self, var: Var) -> bool:
-        return var in self.p_vars
-
 
 def analyze_polarity(formula: Formula) -> PolarityInfo:
     """Compute polarities and the V_p / V_g partition for ``F_sep``.

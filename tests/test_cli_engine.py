@@ -96,9 +96,7 @@ class TestPortfolioCommand:
         valid.write_text(VALID_F)
         invalid = tmp_path / "invalid.suf"
         invalid.write_text("(= x y)")
-        code, out = run_cli(
-            ["portfolio", str(valid), str(invalid), "--jobs", "2"]
-        )
+        code, out = run_cli(["portfolio", str(valid), str(invalid)])
         assert code == 1  # one INVALID
         lines = [l for l in out.splitlines() if "winner=" in l]
         assert len(lines) == 2

@@ -104,19 +104,26 @@ class TestLimitsAndErrors:
         assert result.status == Status.TRANSLATION_LIMIT
         assert result.valid is None
 
-    def test_conflict_limit_reports_unknown(self):
-        vs = [b.const("cl%d" % i) for i in range(9)]
-        formula = b.bor(*[
-            b.band(b.lt(vs[i], vs[(i + 1) % 9]), b.lt(vs[(i + 2) % 9], vs[i]))
-            for i in range(9)
+    def test_sat_time_limit_reports_unknown(self):
+        # Five pigeons in a window of four holes: valid, and SD's search
+        # needs hundreds of conflicts.  SD's encoding never reads the
+        # time limit, so a zero limit stops the search itself, at the
+        # solver's first clock check (every 64 conflicts).
+        lo = b.const("lo")
+        pigeons = [b.const("p%d" % i) for i in range(5)]
+        window = b.band(*[
+            b.band(b.le(lo, p), b.lt(p, b.offset(lo, 4))) for p in pigeons
         ])
-        result = check_validity(
-            formula, method="sd", conflict_limit=1
-        )
-        assert result.status in (
-            Status.UNKNOWN,
-            Status.INVALID,  # solved before the first conflict
-        )
+        clash = b.bor(*[
+            b.eq(p, q)
+            for i, p in enumerate(pigeons)
+            for q in pigeons[i + 1:]
+        ])
+        formula = b.implies(window, clash)
+        assert check_validity(formula, method="sd").status == Status.VALID
+        result = check_validity(formula, method="sd", time_limit=0.0)
+        assert result.status == Status.UNKNOWN
+        assert result.stats.counter("sat", "conflicts") == 64
 
     def test_stats_populated(self):
         x, y = b.const("x"), b.const("y")

@@ -24,7 +24,6 @@ ALL_ENGINES = ("hybrid", "static", "eij", "sd", "lazy", "svc", "brute")
 NON_DEFAULT_FIELDS = {
     "want_countermodel": False,
     "time_limit": 12.5,
-    "conflict_limit": 321,
     "sep_thold": 123,
     "trans_budget": 4567,
     "sd_ranges": "ascending",

@@ -1,4 +1,4 @@
-"""Tests for the parallel portfolio driver and the batch API."""
+"""Tests for the parallel portfolio driver and ``repro portfolio``."""
 
 import multiprocessing
 import time
@@ -6,6 +6,7 @@ import time
 import pytest
 
 from repro.benchgen.suite import benchmark_by_name
+from repro.cli import main
 from repro.core.status import Status
 from repro.engine import portfolio as portfolio_mod
 from repro.engine import registry
@@ -14,7 +15,6 @@ from repro.engine.contract import SolveOutcome, SolveRequest
 from repro.engine.portfolio import (
     _pick_winner,
     default_members,
-    solve_batch,
     solve_portfolio,
 )
 from repro.logic.parser import parse_formula
@@ -152,8 +152,6 @@ class TestSequentialPortfolio:
                 engines=["hybrid", "hybrdi"],
                 parallel=parallel,
             )
-        with pytest.raises(KeyError, match="hybrdi"):
-            solve_batch([parse_formula(VALID_F)], engines=["hybrdi"])
         assert portfolio_children() == []
 
     @pytest.mark.parametrize("parallel", [True, False])
@@ -354,79 +352,64 @@ class TestSchedule:
         assert most_at_once(solve_intervals(names, log_dir)) == 4
 
 
+def write_files(tmp_path, texts):
+    paths = []
+    for index, text in enumerate(texts):
+        path = tmp_path / ("f%d.suf" % index)
+        path.write_text(text)
+        paths.append(str(path))
+    return paths
+
+
+def portfolio_command(argv, capsys):
+    """Run ``repro portfolio`` in-process: (exit code, output lines)."""
+    code = main(["portfolio"] + argv)
+    return code, capsys.readouterr().out.splitlines()
+
+
 class TestBatch:
-    def test_batch_preserves_order_and_verdicts(self):
-        formulas = [parse_formula(t) for t in FORMULAS]
-        outcomes = solve_batch(formulas, jobs=2)
-        assert len(outcomes) == len(formulas)
-        assert [o.valid for o in outcomes] == EXPECTED
-        for outcome in outcomes:
-            assert outcome.engine == "portfolio"
-            assert outcome.winner is not None
+    """``repro portfolio FILE...`` races each file in turn, input order."""
 
-    def test_batch_single_job_inline(self):
-        outcomes = solve_batch(
-            [parse_formula(VALID_F)], engines=["hybrid"], jobs=1
-        )
-        assert [o.valid for o in outcomes] == [True]
-
-    def test_batch_empty(self):
-        assert solve_batch([]) == []
-
-    def test_intra_batch_dedupe_canonicalizes_once_per_class(
-        self, monkeypatch
-    ):
-        # Hash-consing makes repeated formulas identical objects, so the
-        # batch must canonicalize each isomorphism class exactly once,
-        # not once per batch element.
-        import repro.logic.canonical as canonical_mod
-
-        real = canonical_mod.canonicalize
-        calls = []
-
-        def counting(formula):
-            calls.append(formula)
-            return real(formula)
-
-        monkeypatch.setattr(canonical_mod, "canonicalize", counting)
-        f = parse_formula(VALID_F)
-        g = parse_formula(INVALID_F)
-        outcomes = solve_batch(
-            [f, f, g, f, g], engines=["hybrid"], jobs=1
-        )
-        assert len(calls) == 2
-        assert [o.valid for o in outcomes] == [
-            True,
-            True,
-            False,
-            True,
-            False,
+    def test_batch_preserves_order_and_verdicts(self, tmp_path, capsys):
+        paths = write_files(tmp_path, FORMULAS)
+        code, lines = portfolio_command(paths, capsys)
+        assert code == 1  # not every file is valid
+        assert [line.split(": ")[0] for line in lines] == paths
+        assert [line.split()[1] for line in lines] == [
+            "VALID" if expected else "INVALID" for expected in EXPECTED
         ]
-        dedupes = sum(
-            o.stats.cache.dedupes
-            for o in outcomes
-            if o.stats.cache is not None
+        assert all("winner=-" not in line for line in lines)
+
+    def test_each_file_races_its_members(self, sleepy, cpus, tmp_path, capsys):
+        # Two slots: for each file the sleeper holds one and hybrid the
+        # other, so both answer long before the sleeper would wake.
+        cpus(2)
+        paths = write_files(tmp_path, [VALID_F, UF_VALID_F])
+        started = time.perf_counter()
+        code, lines = portfolio_command(
+            paths + ["--engines", "sleepy-test,hybrid", "--timeout", "20"],
+            capsys,
         )
-        assert dedupes == 3
+        assert time.perf_counter() - started < 10.0
+        assert code == 0
+        assert len(lines) == 2
+        for path, line in zip(paths, lines):
+            assert line.startswith("%s: VALID winner=hybrid " % path)
+        assert portfolio_children() == []
 
+    def test_sequential_forks_nothing(self, monkeypatch, tmp_path, capsys):
+        def no_fork():
+            raise AssertionError("--sequential must not fork")
 
-class UndecidedEngine(Engine):
-    """Returns UNKNOWN instantly — forces the cube escalation path."""
-
-    name = "undecided-test"
-
-    def solve(self, request):
-        return SolveOutcome(engine=self.name, status=Status.UNKNOWN)
-
-
-@pytest.fixture
-def undecided():
-    registry.register(UndecidedEngine())
-    try:
-        yield
-    finally:
-        registry.unregister("undecided-test")
-
+        monkeypatch.setattr(portfolio_mod, "_mp_context", no_fork)
+        paths = write_files(tmp_path, [VALID_F, UF_VALID_F])
+        code, lines = portfolio_command(
+            paths + ["--engines", "eij,hybrid", "--sequential"], capsys
+        )
+        assert code == 0
+        assert [line.split()[1:3] for line in lines] == [
+            ["VALID", "winner=eij"]
+        ] * 2
 
 class TestRaceTelemetry:
     def test_cancellation_recorded_and_losers_terminated(self, sleepy, cpus):
@@ -460,34 +443,6 @@ class TestRaceTelemetry:
 
 
 class TestCubeFallback:
-    def test_batch_escalates_undecided_to_cube(self, undecided):
-        formulas = [parse_formula(VALID_F), parse_formula(INVALID_F)]
-        outcomes = solve_batch(
-            formulas, engines=["undecided-test"], jobs=1
-        )
-        assert [o.valid for o in outcomes] == [True, False]
-        assert all(o.engine == "cube" for o in outcomes)
-        assert any(
-            "cube escalation" in (o.detail or "") for o in outcomes
-        )
-
-    def test_escalated_countermodel_lifted_through_dedupe(self, undecided):
-        formula = parse_formula(INVALID_F)
-        outcomes = solve_batch(
-            [formula], engines=["undecided-test"], jobs=1
-        )
-        assert outcomes[0].status == Status.INVALID
-        assert outcomes[0].counterexample is not None
-        assert not evaluate(formula, outcomes[0].counterexample)
-
-    def test_decided_outcomes_not_escalated(self):
-        # A decided batch must never pay for cube escalation.
-        outcomes = solve_batch(
-            [parse_formula(VALID_F)], engines=["hybrid"], jobs=1
-        )
-        assert outcomes[0].valid is True
-        assert outcomes[0].engine == "portfolio"
-
     def test_cube_excluded_from_default_members(self):
         members = default_members()
         assert "cube" not in members

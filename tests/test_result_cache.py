@@ -1,11 +1,10 @@
 """The two-tier result cache and its engine/batch integration.
 
 Covers the cache data plane (LRU, disk tier, fingerprint invalidation,
-countermodel policy), the ``cached`` registry engine, and the
-``solve_batch`` intra-batch dedupe — including the property the whole
-layer exists to uphold: a cache hit returns exactly the verdict the
-engine would have produced, with a countermodel valid for the formula
-actually submitted.
+countermodel policy) and the ``cached`` registry engine — including the
+property the whole layer exists to uphold: a cache hit returns exactly
+the verdict the engine would have produced, with a countermodel valid
+for the formula actually submitted.
 """
 
 import json
@@ -13,11 +12,10 @@ import os
 
 import pytest
 
-from repro.core.result import CacheStats
 from repro.core.status import Status
 from repro.engine import registry
 from repro.engine.contract import SolveRequest
-from repro.engine.portfolio import default_members, solve_batch
+from repro.engine.portfolio import default_members
 from repro.logic.canonical import canonical_key, rename_symbols
 from repro.logic.parser import parse_formula
 from repro.logic.semantics import Interpretation, evaluate
@@ -98,7 +96,7 @@ class TestConfigFingerprint:
         # serve a run under another.
         base = config_fingerprint("hybrid", self._request())
         assert base == config_fingerprint(
-            "hybrid", self._request(time_limit=1.5, conflict_limit=10)
+            "hybrid", self._request(time_limit=1.5)
         )
 
     def test_volatile_options_do_not_scope(self):
@@ -283,43 +281,6 @@ class TestCachedEngine:
         warm = CachedEngine(cache=ResultCache(disk_dir=disk)).decide(f)
         assert warm.status == Status.VALID
         assert warm.stats.cache.hits_disk == 1
-
-
-class TestSolveBatchDedupe:
-    def _formulas(self):
-        f = parse_formula(VALID_F)
-        f_renamed = rename_symbols(
-            f, vars={"x": "a", "y": "b"}, funcs={"f": "g"}
-        )
-        g = parse_formula(INVALID_F)
-        g_renamed = rename_symbols(g, vars={"x": "s", "y": "t"})
-        return [f, g, f_renamed, g_renamed]
-
-    def test_dedupe_preserves_order_and_verdicts(self):
-        outcomes = solve_batch(
-            self._formulas(), engines=["hybrid"], jobs=1
-        )
-        statuses = [o.status for o in outcomes]
-        assert statuses == [
-            Status.VALID,
-            Status.INVALID,
-            Status.VALID,
-            Status.INVALID,
-        ]
-        assert outcomes[2].stats.cache.dedupes == 1
-        assert outcomes[3].stats.cache.dedupes == 1
-        assert (outcomes[0].stats.cache or CacheStats()).dedupes == 0
-
-    def test_deduped_countermodels_are_lifted(self):
-        formulas = self._formulas()
-        outcomes = solve_batch(formulas, engines=["hybrid"], jobs=1)
-        for formula, outcome in zip(formulas, outcomes):
-            if outcome.status == Status.INVALID:
-                assert outcome.counterexample is not None
-                assert evaluate(formula, outcome.counterexample) is False
-
-    def test_empty_batch(self):
-        assert solve_batch([], engines=["hybrid"]) == []
 
 
 class TestCacheNeverChangesVerdict:
