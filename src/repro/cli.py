@@ -905,7 +905,10 @@ def _cmd_analyze_formula(args) -> int:
             kind.append("inequalities")
         if vclass.has_offset:
             kind.append("offsets")
-        method = choose_method(vclass, args.sep_thold, DEFAULT_TRANS_BUDGET)
+        # As ``check`` runs it: the eager pipeline refines, so LAZY.
+        method = choose_method(
+            vclass, args.sep_thold, DEFAULT_TRANS_BUDGET, lazy=True
+        )
         if method == EIJ and vclass.sep_count > args.sep_thold:
             method += " (transitivity <= %d clauses)" % (
                 equality_clause_bound(len(vclass.vars))

@@ -17,15 +17,19 @@ it returns a :class:`~repro.core.result.SolveOutcome`.  The pipeline
 itself lives in :mod:`repro.engine.stages` (each stage individually
 timed and counted); this module keeps the entry point plus the
 CNF-model and decoding helpers shared by the eager pipeline, the lazy
-and SVC baselines, and incremental sessions.
+and SVC baselines, and incremental sessions, and the one lazy
+refinement loop (:func:`refine`) that the eager pipeline's LAZY classes
+and the lazy baseline both run.
 """
 
 from __future__ import annotations
 
-from typing import Any, Dict
+import time
+from typing import Any, Dict, List, MutableMapping, Optional, Tuple
 
 from ..encodings.bitvector import bv_value
-from ..encodings.hybrid import Encoding
+from ..encodings.hybrid import EIJ, LAZY, Encoding
+from ..encodings.sepvars import SepVarRegistry
 from ..logic.semantics import Interpretation, evaluate_term
 from ..logic.terms import BoolVar, Formula, Not
 from ..logic.traversal import (
@@ -34,8 +38,9 @@ from ..logic.traversal import (
     max_offset_magnitude,
 )
 from ..sat.cnf import Cnf
+from ..sat.solver import UNKNOWN, CdclSolver, SatResult, SatStats
 from ..separation.unionfind import DisjointSet
-from ..theory.difference import check_bounds
+from ..theory.difference import DifferenceResult, check_bounds
 from ..transform.func_elim import FuncElimInfo
 from .result import SolveOutcome
 
@@ -43,6 +48,8 @@ __all__ = [
     "check_validity",
     "boolvar_model",
     "dimacs_literal",
+    "theory_conflict",
+    "refine",
     "decode_countermodel",
     "lift_countermodel",
 ]
@@ -86,14 +93,87 @@ def dimacs_literal(cnf: Cnf, literal: Formula) -> int:
     return cnf.var_for(literal)
 
 
+def theory_conflict(
+    cnf: Cnf, registry: SepVarRegistry, model: Dict[BoolVar, bool]
+) -> Tuple[DifferenceResult, List[int]]:
+    """The lazy procedures' theory step on one Boolean model.
+
+    Checks the difference bounds ``model`` asserts with Bellman–Ford.
+    When they are inconsistent, the second value is the clause that
+    blocks the negative cycle: the negation of every registry literal
+    on it, as DIMACS literals of ``cnf`` (empty when consistent).
+    """
+    theory = check_bounds(registry.asserted_bounds(model))
+    clause = [
+        -dimacs_literal(cnf, registry.literal(bound.lhs, bound.rhs, bound.c))
+        for bound in theory.cycle or ()
+    ]
+    return theory, clause
+
+
+def refine(
+    cnf: Cnf,
+    registry: SepVarRegistry,
+    counters: MutableMapping[str, Any],
+    deadline: Optional[float] = None,
+    max_iterations: Optional[int] = None,
+    incremental: bool = True,
+) -> SatResult:
+    """Lazy refinement (the CVC loop): solve, check, block, re-solve.
+
+    Each round solves ``cnf`` with the time left before ``deadline`` (a
+    :func:`time.perf_counter` value), checks the bounds a SAT model
+    asserts (:func:`theory_conflict`), and adds the negative cycle's
+    blocking clause.  ``incremental`` keeps one solver, so learned
+    clauses carry over; otherwise each round restarts from scratch on
+    ``cnf``, to which the clauses are then added.
+
+    Returns the last round's result: UNSAT, SAT with consistent bounds,
+    or UNKNOWN when the search, the deadline or ``max_iterations`` ran
+    out.  ``counters`` receives ``iterations``, ``theory_checks`` and
+    ``conflict_clauses``.
+    """
+    counters.update(iterations=0, theory_checks=0, conflict_clauses=0)
+    solver: Optional[CdclSolver] = None
+    while max_iterations is None or counters["iterations"] < max_iterations:
+        remaining = None
+        if deadline is not None:
+            remaining = deadline - time.perf_counter()
+            if remaining < 0:
+                break
+            remaining = max(0.01, remaining)
+        counters["iterations"] += 1
+        if incremental and solver is not None:
+            solver.time_limit = remaining
+        else:
+            solver = CdclSolver(cnf, time_limit=remaining)
+        result = solver.solve()
+        if not result.is_sat:
+            return result
+        counters["theory_checks"] += 1
+        theory, clause = theory_conflict(
+            cnf, registry, boolvar_model(cnf, result.model)
+        )
+        if theory.consistent:
+            return result
+        if incremental:
+            solver.add_clause(clause)
+        else:
+            cnf.add_clause(clause)
+        counters["conflict_clauses"] += 1
+    stats = solver.stats if solver is not None else SatStats()
+    return SatResult(UNKNOWN, stats=stats)
+
+
 def decode_countermodel(
     encoding: Encoding, boolvar_model: Dict[BoolVar, bool]
 ) -> Interpretation:
     """Turn a Boolean model of ``F_trans ∧ ¬F_bvar`` into integers.
 
     * SD-encoded constants: read their bit-vectors.
-    * EIJ-encoded classes: the asserted difference bounds are consistent
-      (``F_trans`` holds), so Bellman–Ford yields values.
+    * EIJ- and LAZY-encoded classes: the asserted difference bounds are
+      consistent (``F_trans`` holds, or refinement checked them), so
+      Bellman–Ford yields values.
     * ``V_p`` constants: fresh maximally diverse values, spaced far apart
       and far above everything general.
     * user-level symbolic Boolean constants: copied from the model.
@@ -111,7 +191,7 @@ def decode_countermodel(
     eij_classes = [
         vclass
         for vclass in analysis.classes
-        if encoding.method_of_class[vclass.index] == "EIJ"
+        if encoding.method_of_class[vclass.index] in (EIJ, LAZY)
     ]
     bound_vars = set()
     for vclass in eij_classes:

@@ -9,8 +9,12 @@ step by step:
 2. for each class, pick the method (:func:`choose_method`): the paper's
    rule is ``SD`` when ``SepCnt(Vi) > SEP_THOLD``, else ``EIJ``.
    :func:`encode_hybrid` also sends an equality-only class above the
-   threshold to ``EIJ`` when its transitivity provably fits the budget;
-   ``paper_rule=True`` (what ``repro experiment`` runs) turns that off;
+   threshold to ``EIJ`` when its transitivity provably fits the budget,
+   and, when its caller refines the SAT search (``lazy=True``, as
+   :func:`repro.engine.stages.run_eager` does), every class with ``<``
+   or an offset to ``LAZY``: EIJ atoms and no transitivity clauses, the
+   paper's CVC baseline for one class.  ``paper_rule=True`` (what
+   ``repro experiment`` runs) turns both off;
 3. recurse over the formula structure — Boolean connectives map to
    themselves, atoms are encoded per their class's method:
 
@@ -26,7 +30,9 @@ step by step:
      unsigned-less-than comparator;
 
 4. conjoin the per-class transitivity constraints (EIJ classes) and the
-   domain-bound constraints (SD classes) into ``F_trans``;
+   domain-bound constraints (SD classes) into ``F_trans``; a LAZY class
+   adds nothing, and its consistency is left to the caller's
+   refinement loop;
 5. the result represents ``F_bool = F_trans ⟹ F_bvar``; validity of the
    input is checked by testing ``F_trans ∧ ¬F_bvar`` for unsatisfiability.
 """
@@ -112,6 +118,7 @@ DEFAULT_TRANS_BUDGET = 100_000
 
 SD = "SD"
 EIJ = "EIJ"
+LAZY = "LAZY"
 
 
 def _equality_only(vclass: VarClass) -> bool:
@@ -123,8 +130,9 @@ def choose_method(
     sep_thold: Optional[int],
     trans_budget: Optional[int],
     paper_rule: bool = False,
+    lazy: bool = False,
 ) -> str:
-    """HYBRID's choice of ``SD`` or ``EIJ`` for one class.
+    """HYBRID's choice of ``SD``, ``EIJ`` or ``LAZY`` for one class.
 
     The paper's rule (§4 step 2) is ``SD`` when ``SepCnt(Vi) >
     SEP_THOLD``, else ``EIJ``; ``sep_thold=None`` is infinity.  SepCnt
@@ -134,7 +142,15 @@ def choose_method(
     constants.  So unless ``paper_rule``, such a class above the
     threshold is ``EIJ`` too when that bound fits ``trans_budget``
     (``None``: no budget), and its generation can never trip the budget.
+
+    ``lazy`` says the caller refines the SAT search against the bounds
+    a model asserts.  Then, unless ``paper_rule``, every class with
+    ``<`` or an offset is ``LAZY`` whatever its SepCnt: its transitivity
+    is the one that can blow up, and refinement adds only the
+    negative cycles a model actually asserts.
     """
+    if lazy and not paper_rule and not _equality_only(vclass):
+        return LAZY
     if sep_thold is None or vclass.sep_count <= sep_thold:
         return EIJ
     if paper_rule or not _equality_only(vclass):
@@ -151,7 +167,10 @@ class EncodingStats:
     sep_thold: Optional[int] = DEFAULT_SEP_THOLD
     num_classes: int = 0
     sd_classes: int = 0
+    #: Classes with EIJ atoms, LAZY ones included.
     eij_classes: int = 0
+    #: Classes with EIJ atoms and no transitivity clauses.
+    lazy_classes: int = 0
     #: EIJ classes above SEP_THOLD: the equality-only bound admitted them.
     eq_bound_classes: int = 0
     sep_vars: int = 0
@@ -201,11 +220,13 @@ class _HybridEngine:
         sd_ranges: str = "uniform",
         deadline: Optional[float] = None,
         paper_rule: bool = True,
+        lazy: bool = False,
     ) -> None:
         self.analysis = analysis
         self.sep_thold = sep_thold
         self.trans_budget = trans_budget
         self.paper_rule = paper_rule
+        self.lazy = lazy
         self.deadline = deadline
         self.generate_trans = generate_trans
         self.chooser = chooser
@@ -233,7 +254,8 @@ class _HybridEngine:
         if self.chooser is not None:
             return self.chooser(vclass)
         return choose_method(
-            vclass, self.sep_thold, self.trans_budget, self.paper_rule
+            vclass, self.sep_thold, self.trans_budget, self.paper_rule,
+            self.lazy,
         )
 
     # -- SD machinery ---------------------------------------------------------
@@ -432,12 +454,16 @@ class _HybridEngine:
                 raise TypeError("unknown formula kind: %r" % (type(node),))
         f_bvar = fmemo[pushed]
 
-        # F_trans: transitivity for EIJ classes, domain bounds for SD ones.
-        # Each class has its own count, which the budget caps.
+        # F_trans: transitivity for EIJ classes, domain bounds for SD ones,
+        # nothing for LAZY ones.  Each class has its own count, which the
+        # budget caps.
         trans_parts: List[Formula] = []
         trans_clauses = 0
         for vclass in self.analysis.classes:
-            if self.method_of_class[vclass.index] == EIJ:
+            method = self.method_of_class[vclass.index]
+            if method == LAZY:
+                continue
+            if method == EIJ:
                 if not self.generate_trans:
                     continue
                 tstats = TransitivityStats()
@@ -469,6 +495,9 @@ class _HybridEngine:
             1 for m in self.method_of_class.values() if m == SD
         )
         stats.eij_classes = stats.num_classes - stats.sd_classes
+        stats.lazy_classes = sum(
+            1 for m in self.method_of_class.values() if m == LAZY
+        )
         if self.sep_thold is not None:
             stats.eq_bound_classes = sum(
                 1
@@ -506,6 +535,7 @@ def _encode(
     sd_ranges: str = "uniform",
     deadline: Optional[float] = None,
     paper_rule: bool = True,
+    lazy: bool = False,
 ) -> Encoding:
     if analysis is None:
         analysis = analyze_separation(f_sep)
@@ -519,6 +549,7 @@ def _encode(
         sd_ranges=sd_ranges,
         deadline=deadline,
         paper_rule=paper_rule,
+        lazy=lazy,
     )
     return engine.encode()
 
@@ -530,13 +561,17 @@ def encode_hybrid(
     analysis: Optional[SeparationAnalysis] = None,
     deadline: Optional[float] = None,
     paper_rule: bool = False,
+    lazy: bool = False,
 ) -> Encoding:
     """The paper's HYBRID encoding with the given ``SEP_THOLD``.
 
     Each class's method is :func:`choose_method`'s: an equality-only
     class above the threshold goes to EIJ when its transitivity provably
-    fits ``trans_budget``, unless ``paper_rule`` asks for the paper's
-    SepCnt rule alone.
+    fits ``trans_budget``, and with ``lazy`` every class with ``<`` or an
+    offset goes to LAZY, unless ``paper_rule`` asks for the paper's
+    SepCnt rule alone.  A caller that passes ``lazy`` must refine the
+    SAT search (:func:`repro.core.decision.refine`): the encoding leaves
+    out the LAZY classes' transitivity.
 
     Transitivity generation raises
     :class:`~repro.encodings.transitivity.TransitivityBudgetExceeded`
@@ -552,6 +587,7 @@ def encode_hybrid(
         analysis,
         deadline=deadline,
         paper_rule=paper_rule,
+        lazy=lazy,
     )
 
 

@@ -151,7 +151,7 @@ class SepVarRegistry:
     def var_count(self) -> int:
         return len(self._bound_of)
 
-    def cnf_var_ids(self, cnf: "object") -> List[int]:
+    def cnf_var_ids(self, cnf: "object", eq_vars: bool = True) -> List[int]:
         """CNF variable ids of the registry's EIJ/equality variables.
 
         ``cnf`` is a :class:`repro.sat.cnf.Cnf` built from a formula over
@@ -160,11 +160,16 @@ class SepVarRegistry:
         result is exactly the separation predicates that survived into
         the clause database — the preferred cube-splitting points for
         cube-and-conquer (paper §4: SepCnt counts these case splits).
-        The order is deterministic (sorted ids).
+        ``eq_vars=False`` leaves out the equality variables: the rest
+        are the difference-bound variables lazy refinement reads.  The
+        order is deterministic (sorted ids).
         """
         lookup = getattr(cnf, "lookup")
         ids: Set[int] = set()
-        for var in list(self._bound_of) + list(self._eq_pair_of):
+        names = list(self._bound_of)
+        if eq_vars:
+            names += list(self._eq_pair_of)
+        for var in names:
             cnf_id = lookup(var)
             if cnf_id is not None:
                 ids.add(cnf_id)

@@ -51,7 +51,7 @@ import time
 from dataclasses import dataclass, field
 from typing import TYPE_CHECKING, Dict, List, Optional, Sequence, Tuple
 
-from ..core.decision import boolvar_model, dimacs_literal
+from ..core.decision import boolvar_model, theory_conflict
 from ..core.status import Status
 from ..encodings.sepvars import SepVarRegistry
 from ..logic.canonical import CanonicalForm, canonicalize, lift_interpretation
@@ -78,7 +78,6 @@ from ..logic.traversal import collect_bool_vars, collect_vars, postorder
 from ..sat.cnf import Cnf
 from ..sat.solver import CdclSolver, SatResult
 from ..sat.tseitin import tseitin
-from ..theory.difference import check_bounds
 from .contract import SolveRequest
 
 if TYPE_CHECKING:  # deferred to dodge the service ↔ engine import cycle
@@ -295,10 +294,10 @@ class _IncrementalBackend:
                 return UNKNOWN, None, None
             if result.is_unsat:
                 return UNSAT, None, self._core_formulas(result.core)
-            model = result.model or {}
-            bool_model = boolvar_model(self._cnf, model)
-            bounds = self._registry.asserted_bounds(bool_model)
-            theory = check_bounds(bounds)
+            bool_model = boolvar_model(self._cnf, result.model or {})
+            theory, clause = theory_conflict(
+                self._cnf, self._registry, bool_model
+            )
             if theory.consistent:
                 interp = self._build_model(
                     assertions, bool_model, theory.model or {}
@@ -306,14 +305,6 @@ class _IncrementalBackend:
                 return SAT, interp, None
             # Refine: the negative cycle becomes an unguarded conflict
             # clause — a valid theory lemma, safe to retain forever.
-            cycle = theory.cycle or []
-            clause = [
-                -dimacs_literal(
-                    self._cnf,
-                    self._registry.literal(bound.lhs, bound.rhs, bound.c),
-                )
-                for bound in cycle
-            ]
             self._cnf.add_clause(clause)
             self._sync()
             self.theory_lemmas += 1

@@ -12,6 +12,14 @@ stage is skipped when ``SolveRequest.preprocess`` is false (``repro
 check --no-preprocess``); when it runs, eliminated variables are
 re-derived through the model-reconstruction stack before countermodel
 decode.
+
+When :func:`run_eager` runs the SAT search itself, HYBRID may send a
+class to ``LAZY`` (EIJ atoms, no transitivity clauses).  The ``sat``
+stage is then the lazy refinement loop
+(:func:`repro.core.decision.refine`): solve, check the asserted bounds,
+block a negative cycle and re-solve before the run's deadline.  The
+preprocessor keeps those classes' bound variables frozen, so blocking
+clauses may name them.
 """
 
 from __future__ import annotations
@@ -23,6 +31,7 @@ from ..core.decision import (
     boolvar_model,
     decode_countermodel,
     lift_countermodel,
+    refine,
 )
 from ..core.result import (
     DecisionStats,
@@ -59,27 +68,30 @@ __all__ = ["run_eager", "SatRunner"]
 SatRunner = Callable[[Any, SolveRequest, StageRecord, List[int]], Any]
 
 
-#: Each encoder is called with ``F_sep``, the request, and the solve's
+#: Each encoder is called with ``F_sep``, the request, the solve's
 #: deadline (a :func:`time.perf_counter` value, or ``None``), which bounds
-#: transitivity generation the way ``trans_budget`` does.  HYBRID reads
+#: transitivity generation the way ``trans_budget`` does, and whether the
+#: ``sat`` stage refines (no ``sat_runner``).  HYBRID reads
 #: ``options["paper_rule"]``, which ``repro experiment`` sets to run the
-#: paper's SepCnt rule alone.
+#: paper's SepCnt rule alone, and picks LAZY classes only when the
+#: ``sat`` stage refines.
 _ENCODERS = {
-    "sd": lambda f_sep, req, deadline: encode_sd(
+    "sd": lambda f_sep, req, deadline, lazy: encode_sd(
         f_sep, sd_ranges=req.sd_ranges
     ),
-    "eij": lambda f_sep, req, deadline: encode_eij(
+    "eij": lambda f_sep, req, deadline, lazy: encode_eij(
         f_sep, trans_budget=req.trans_budget, deadline=deadline
     ),
-    "static": lambda f_sep, req, deadline: encode_static_hybrid(
+    "static": lambda f_sep, req, deadline, lazy: encode_static_hybrid(
         f_sep, trans_budget=req.trans_budget, deadline=deadline
     ),
-    "hybrid": lambda f_sep, req, deadline: encode_hybrid(
+    "hybrid": lambda f_sep, req, deadline, lazy: encode_hybrid(
         f_sep,
         sep_thold=req.sep_thold,
         trans_budget=req.trans_budget,
         deadline=deadline,
         paper_rule=req.options.get("paper_rule", False),
+        lazy=lazy,
     ),
 }
 
@@ -99,7 +111,12 @@ def run_eager(
 
     ``request.time_limit`` bounds transitivity generation, counted from
     the start of the run, and the SAT search on its own: the first ends
-    as ``TRANSLATION_LIMIT``, the second as ``UNKNOWN``.
+    as ``TRANSLATION_LIMIT``, the second as ``UNKNOWN``.  A refining
+    ``sat`` stage (an encoding with LAZY classes) instead re-solves only
+    until the run's deadline.
+
+    A ``sat_runner`` replaces the SAT search and never refines, so the
+    encoder then keeps every class eager (SD or EIJ).
     """
     if method not in _ENCODERS:
         raise ValueError(
@@ -137,10 +154,13 @@ def run_eager(
 
     try:
         with clock.stage("encode") as rec:
-            encoding = _ENCODERS[method](f_sep, request, deadline)
+            encoding = _ENCODERS[method](
+                f_sep, request, deadline, sat_runner is None
+            )
             rec.counters["classes"] = encoding.stats.num_classes
             rec.counters["sd_classes"] = encoding.stats.sd_classes
             rec.counters["eij_classes"] = encoding.stats.eij_classes
+            rec.counters["lazy_classes"] = encoding.stats.lazy_classes
             rec.counters["eq_bound_classes"] = (
                 encoding.stats.eq_bound_classes
             )
@@ -163,11 +183,18 @@ def run_eager(
         rec.counters["sep_cnf_vars"] = len(sep_cnf_vars)
         rec.artifacts["sep_cnf_vars"] = sep_cnf_vars
 
+    lazy = encoding.stats.lazy_classes > 0
     pre = None
     solver_cnf = cnf
     if request.preprocess:
         with clock.stage("preprocess") as rec:
-            pre = preprocess_cnf(cnf)
+            # Refinement adds clauses over the bound variables: freeze them.
+            frozen = (
+                encoding.registry.cnf_var_ids(cnf, eq_vars=False)
+                if lazy
+                else ()
+            )
+            pre = preprocess_cnf(cnf, frozen)
             solver_cnf = pre.simplified
             rec.counters["clauses_before"] = pre.stats.clauses_before
             rec.counters["clauses_after"] = pre.stats.clauses_after
@@ -187,6 +214,10 @@ def run_eager(
     with clock.stage("sat") as rec:
         if sat_runner is not None:
             sat_result = sat_runner(solver_cnf, request, rec, sep_cnf_vars)
+        elif lazy:
+            sat_result = refine(
+                solver_cnf, encoding.registry, rec.counters, deadline
+            )
         else:
             solver = CdclSolver(solver_cnf, time_limit=request.time_limit)
             sat_result = solver.solve()

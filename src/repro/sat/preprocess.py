@@ -34,6 +34,16 @@ round-trip in between.  Negation is ``lit ^ 1`` and the variable is
 Variable numbering is preserved: the simplified :class:`Cnf` has the same
 ``num_vars`` and name table as the input, eliminated variables simply no
 longer occur in any clause.
+
+**Frozen variables**, as in MiniSat's ``SimpSolver``: a caller that will
+add clauses over some variables after preprocessing (the eager
+pipeline's lazy refinement adds blocking clauses over the LAZY classes'
+bound variables) names them in ``frozen``.  Pure-literal elimination
+and variable elimination skip a frozen variable, and one that unit
+propagation fixes stays in the simplified CNF as a unit clause, so a
+solver that later meets it in an added clause knows its value.
+(Subsumption and self-subsuming resolution keep the formula's models,
+so they need no exception.)
 """
 
 from __future__ import annotations
@@ -41,7 +51,7 @@ from __future__ import annotations
 import time
 from collections import deque
 from dataclasses import dataclass
-from typing import Dict, List, Optional, Set, Tuple
+from typing import Dict, Iterable, List, Optional, Set, Tuple
 
 from .cnf import Cnf
 
@@ -143,9 +153,10 @@ class PreprocessResult:
 class _Preprocessor:
     """One-shot occurrence-list simplifier over a clause database."""
 
-    def __init__(self, cnf: Cnf) -> None:
+    def __init__(self, cnf: Cnf, frozen: Iterable[int] = ()) -> None:
         self.cnf = cnf
         self.nvars = cnf.num_vars
+        self.frozen = set(frozen)
         self.stats = PreprocessStats(
             vars_before=cnf.num_vars,
             clauses_before=len(cnf),
@@ -250,7 +261,7 @@ class _Preprocessor:
                 self._propagate()
             if self.contradiction:
                 break
-            if var in self.assignment:
+            if var in self.assignment or var in self.frozen:
                 continue
             pos = self.occ.get(var << 1)
             neg = self.occ.get((var << 1) | 1)
@@ -353,7 +364,7 @@ class _Preprocessor:
                 self._propagate()
             if self.contradiction:
                 break
-            if var in self.assignment:
+            if var in self.assignment or var in self.frozen:
                 continue
             pos = self.occ.get(var << 1)
             neg = self.occ.get((var << 1) | 1)
@@ -465,6 +476,11 @@ class _Preprocessor:
             live: List[List[int]] = []
         else:
             live = [c for c in self.clauses if c is not None]
+            live.extend(
+                [(var << 1) | (not value)]
+                for var, value in sorted(self.assignment.items())
+                if var in self.frozen
+            )
             simplified.add_packed_clauses(live)
             self.stats.status = SAT if not live else UNKNOWN
         self.stats.clauses_after = sum(1 for c in live if c)
@@ -479,12 +495,14 @@ class _Preprocessor:
         )
 
 
-def preprocess_cnf(cnf: Cnf) -> PreprocessResult:
+def preprocess_cnf(cnf: Cnf, frozen: Iterable[int] = ()) -> PreprocessResult:
     """Simplify ``cnf``; the input is not mutated.
 
     Returns a :class:`PreprocessResult` whose ``simplified`` CNF is
     equisatisfiable with the input and whose :meth:`~PreprocessResult.
     reconstruct` maps any model of the simplified CNF back to a model of
-    the input.
+    the input.  Variables in ``frozen`` are never eliminated or
+    pure-assigned, and keep a unit clause when fixed, so the two stay
+    equisatisfiable after the same clauses over them are added to both.
     """
-    return _Preprocessor(cnf).run()
+    return _Preprocessor(cnf, frozen).run()

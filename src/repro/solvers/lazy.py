@@ -29,23 +29,21 @@ Faithful-to-the-original choices:
 from __future__ import annotations
 
 import time
-from typing import List, Optional
+from typing import Optional
 
 from ..core.decision import (
     boolvar_model,
     decode_countermodel,
-    dimacs_literal,
     lift_countermodel,
+    refine,
 )
 from ..core.result import DecisionStats, SolveOutcome, StageClock
 from ..core.status import Status
 from ..encodings.hybrid import encode_eij
 from ..logic.terms import Formula
 from ..logic.traversal import dag_size
-from ..sat.solver import CdclSolver
 from ..sat.tseitin import to_cnf
 from ..separation.analysis import analyze_separation
-from ..theory.difference import check_bounds
 from ..transform.func_elim import eliminate_applications
 
 __all__ = ["check_validity_lazy"]
@@ -67,11 +65,13 @@ def check_validity_lazy(
     per-iteration overhead the paper measures (see the lazy-vs-eager
     ablation benchmark).
 
-    Stages: ``func-elim``, ``encode`` and ``cnf``, then ``refine`` with
-    the loop's ``iterations``, ``theory_checks`` and ``conflict_clauses``
-    counters.
+    Stages: ``func-elim``, ``encode`` and ``cnf``, then ``refine``
+    (:func:`repro.core.decision.refine`, the loop HYBRID's LAZY classes
+    run too) with its ``iterations``, ``theory_checks`` and
+    ``conflict_clauses`` counters.
     """
     start = time.perf_counter()
+    deadline = None if time_limit is None else start + time_limit
     clock = StageClock()
     stats = DecisionStats(method="LAZY", stages=clock.records)
 
@@ -86,72 +86,33 @@ def check_validity_lazy(
         rec.counters["sep_vars"] = encoding.stats.sep_vars
         rec.counters["trans_clauses"] = encoding.stats.trans_clauses
         rec.counters["sep_count"] = encoding.stats.total_sep_count
-    registry = encoding.registry
 
     with clock.stage("cnf") as rec:
         cnf = to_cnf(encoding.check_formula)
         rec.counters["vars"] = cnf.num_vars
         rec.counters["clauses"] = len(cnf)
 
-    status = Status.UNKNOWN
-    solver: Optional[CdclSolver] = None
     with clock.stage("refine") as rec:
-        counters = rec.counters
-        counters.update(iterations=0, theory_checks=0, conflict_clauses=0)
-        while True:
-            if (
-                time_limit is not None
-                and time.perf_counter() - start > time_limit
-            ):
-                break
-            if (
-                max_iterations is not None
-                and counters["iterations"] >= max_iterations
-            ):
-                break
+        result = refine(
+            cnf,
+            encoding.registry,
+            rec.counters,
+            deadline=deadline,
+            max_iterations=max_iterations,
+            incremental=incremental,
+        )
+    stats.sat = result.stats  # the last round's search stats
 
-            counters["iterations"] += 1
-            remaining = None
-            if time_limit is not None:
-                remaining = max(
-                    0.01, time_limit - (time.perf_counter() - start)
-                )
-            if incremental and solver is not None:
-                solver.time_limit = remaining
-            else:
-                solver = CdclSolver(cnf, time_limit=remaining)
-            result = solver.solve()
-            stats.sat = result.stats  # keep the last round's search stats
-
-            if result.status == "UNKNOWN":
-                break
-            if result.is_unsat:
-                status = Status.VALID
-                break
-
-            model = boolvar_model(cnf, result.model)
-            bounds = registry.asserted_bounds(model)
-            counters["theory_checks"] += 1
-            theory = check_bounds(bounds)
-            if theory.consistent:
-                status = Status.INVALID
-                break
-
-            # Refine: block the negative cycle.  Each cycle bound was
-            # asserted by some registry literal; the blocking clause
-            # negates them all.
-            clause: List[int] = []
-            for bound in theory.cycle:
-                lit = registry.literal(bound.lhs, bound.rhs, bound.c)
-                clause.append(-dimacs_literal(cnf, lit))
-            cnf.add_clause(clause)
-            if incremental:
-                solver.add_clause(clause)
-            counters["conflict_clauses"] += 1
-
+    status = Status.UNKNOWN
+    if result.is_unsat:
+        status = Status.VALID
+    elif result.is_sat:
+        status = Status.INVALID
     counterexample = None
     if status is Status.INVALID and want_countermodel:
-        sep_model = decode_countermodel(encoding, model)
+        sep_model = decode_countermodel(
+            encoding, boolvar_model(cnf, result.model)
+        )
         counterexample = lift_countermodel(elim_info, f_sep, sep_model)
     return SolveOutcome(
         engine="lazy",

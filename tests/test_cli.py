@@ -103,26 +103,31 @@ class TestCheckCommand:
         [
             ("ooo_t16_7", "VALID"),
             ("driver_s12_5", "VALID"),
-            ("invariant_n12_3", "TRANSLATION_LIMIT"),
+            ("invariant_n12_3", "VALID"),
         ],
     )
     def test_no_flags_never_hang(self, tmp_path, name, status):
         out = run_cli_on_suite_query(tmp_path, name, "check")
         assert "status: %s\n" % status in out
-        if status == "TRANSLATION_LIMIT":
-            # The default clause budget stopped transitivity generation,
-            # and the output says so.
-            assert "budget %d" % DEFAULT_TRANS_BUDGET in out
-            assert "\ndetail: " in out
+
+    def test_eij_budget_trip_names_the_budget(self, tmp_path):
+        # EIJ's transitivity on invariant_n12_3 passes the default clause
+        # budget, and the output says so.
+        out = run_cli_on_suite_query(
+            tmp_path, "invariant_n12_3", "check", "--method", "eij"
+        )
+        assert "status: TRANSLATION_LIMIT\n" in out
+        assert "budget %d" % DEFAULT_TRANS_BUDGET in out
+        assert "\ndetail: " in out
 
     def test_timeout_stops_transitivity_generation(self, tmp_path):
-        # The clause budget trips about 0.07 s into invariant_n12_3, so
+        # EIJ's clause budget trips about 0.07 s into invariant_n12_3, so
         # the time limit must be shorter still to be what stops it: the
         # generators read the clock every 1 024 clauses, and a budget
         # trip would report budget + 1.
         out = run_cli_on_suite_query(
             tmp_path, "invariant_n12_3", "check", "--timeout", "0.001",
-            "--stats",
+            "--stats", "--method", "eij",
         )
         assert "status: TRANSLATION_LIMIT" in out
         assert "exceeded the time limit" in out
@@ -182,8 +187,8 @@ class TestAnalyzeCommand:
     @pytest.mark.parametrize(
         "name,class0",
         [
-            ("invariant_n12_3", ("SepCnt=67,", "-> EIJ")),
-            ("ooo_t16_7", ("SepCnt=135,", "-> SD")),
+            ("invariant_n12_3", ("SepCnt=67,", "-> LAZY")),
+            ("ooo_t16_7", ("SepCnt=135,", "-> LAZY")),
             (
                 "transval_s3_i4_3",
                 ("SepCnt=171,", "-> EIJ (transitivity <= 2907 clauses)"),
@@ -191,10 +196,10 @@ class TestAnalyzeCommand:
         ],
     )
     def test_method_choice_without_encoding(self, tmp_path, name, class0):
-        # The per-class choice is the one `repro check` makes, read from
-        # SepCnt and, for an equality-only class, the size of its
-        # transitivity bound: no transitivity generation, so no query
-        # hangs.
+        # The per-class choice is the one `repro check` makes: LAZY for a
+        # class with inequalities or offsets, else read from SepCnt and
+        # the size of its transitivity bound: no transitivity
+        # generation, so no query hangs.
         out = run_cli_on_suite_query(tmp_path, name, "analyze")
         line = next(l for l in out.splitlines() if "class 0:" in l)
         for part in class0:

@@ -3,6 +3,7 @@
 import pytest
 
 from repro.benchgen.cnf import pigeonhole_cnf
+from repro.benchgen.suite import benchmark_by_name
 from repro.core.status import Status
 from repro.engine import cube, registry
 from repro.engine.contract import SolveRequest
@@ -56,6 +57,17 @@ class TestEngine:
         assert outcome.status == Status.INVALID
         assert outcome.counterexample is not None
         assert not evaluate(formula, outcome.counterexample)
+
+    def test_classes_stay_eager_without_refinement(self):
+        # Cube's workers never refine, so HYBRID keeps ooo's class with
+        # inequalities eager (SD) instead of LAZY.
+        bench = benchmark_by_name("ooo_t16_7")
+        outcome = registry.get("cube").solve(
+            SolveRequest(formula=bench.formula, options={"cube_procs": 2})
+        )
+        assert outcome.status == Status.VALID
+        assert outcome.stats.counter("encode", "lazy_classes") == 0
+        assert outcome.stats.counter("encode", "sd_classes") == 1
 
     def test_sat_stage_reports_cube_counters(self):
         outcome = solve_cube(FORMULAS[0][0], cube_procs=1)

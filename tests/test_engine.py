@@ -163,15 +163,38 @@ class TestStageTelemetry:
         ]
 
     def test_translation_limit_keeps_trans_clauses(self):
-        # The tripped budget still reports how far generation got.
+        # The tripped budget still reports how far generation got.  The
+        # paper's rule sends the large class to EIJ (the product rule
+        # would refine it lazily and generate nothing).
         bench = benchmark_by_name("invariant_n12_3")
         outcome = run_eager(
-            SolveRequest(formula=bench.formula, trans_budget=1000)
+            SolveRequest(
+                formula=bench.formula,
+                trans_budget=1000,
+                options={"paper_rule": True},
+            )
         )
         assert outcome.status == Status.TRANSLATION_LIMIT
         encode = outcome.stages[-1]
         assert encode.name == "encode"
         assert encode.counters["trans_clauses"] == 1001
+
+    def test_lazy_class_refines_a_cycle_behind_disjunctions(self):
+        # Either disjunct closes a < cycle through w.  The LAZY class has
+        # no transitivity clauses, so only the sat stage's theory check
+        # finds the cycles, and each becomes a blocking clause.
+        formula = parse_formula(
+            "(not (and (or (< x y) (< x z)) (< y w) (< z w) (< w x)))"
+        )
+        outcome = run_eager(SolveRequest(formula=formula))
+        assert outcome.status == Status.VALID
+        assert outcome.stats.counter("encode", "lazy_classes") == 1
+        assert outcome.stats.counter("encode", "trans_clauses") == 0
+        conflict_clauses = outcome.stats.counter("sat", "conflict_clauses")
+        assert conflict_clauses >= 1
+        assert outcome.stats.counter("sat", "theory_checks") == (
+            conflict_clauses
+        )
 
     def test_budget_counts_per_class(self):
         # Two classes of 6 and 12 clauses: each fits a budget of 15,

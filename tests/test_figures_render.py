@@ -212,6 +212,7 @@ def fig6_rows(hybrid_status="VALID", svc_seconds=20.0, cvc_seconds=1.5):
                 status="TIMEOUT" if i and svc_seconds >= 20.0 else "VALID",
             ),
             cvc=row("m%d" % i, "CVC(lazy)", cvc_seconds if i else 0.1),
+            hybrid_lazy=row("m%d" % i, "HYBRID+LAZY", 0.05),
         )
         for i in range(4)
     ]
@@ -222,6 +223,7 @@ class TestFig6Render:
         rows = fig6_rows()
         text = fig6.render_fig6(rows, timeout=20.0)
         assert "SVC" in text and "CVC" in text
+        assert "HYBRID+LAZY" in text
         assert "timeout" in text
         assert "best HYBRID speedup over CVC(lazy): 3.8x" in text
         claims = fig6.claims(rows)

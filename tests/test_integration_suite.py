@@ -11,8 +11,18 @@ from repro.benchgen.suite import (
     benchmark_by_name,
     invariant_suite,
     non_invariant_suite,
+    suite,
 )
 from repro.core import check_validity
+from repro.encodings.hybrid import (
+    DEFAULT_SEP_THOLD,
+    DEFAULT_TRANS_BUDGET,
+    LAZY,
+    choose_method,
+)
+from repro.logic.semantics import evaluate
+from repro.separation.analysis import analyze_separation
+from repro.transform.func_elim import eliminate_applications
 
 
 def decide(bench, method, **kw):
@@ -34,8 +44,14 @@ class TestInvariantRegime:
         assert result.status == "TRANSLATION_LIMIT"
 
     def test_hybrid_default_follows_eij(self, bench):
-        result = decide(bench, "hybrid")
+        # The paper's HYBRID sends the large class with inequalities to
+        # EIJ and trips the budget; the product rule sends it to LAZY.
+        result = decide(bench, "hybrid", options={"paper_rule": True})
         assert result.status == "TRANSLATION_LIMIT"
+        product = decide(bench, "hybrid")
+        assert product.valid is True
+        assert product.stats.counter("encode", "lazy_classes") == 1
+        assert product.stats.counter("encode", "trans_clauses") == 0
 
     def test_sd_completes(self, bench):
         result = decide(bench, "sd")
@@ -83,30 +99,34 @@ class TestThresholdEndpoints:
         )
 
     def test_threshold_zero_keeps_small_equality_class_eij(self):
-        # The product rule at 0: the class with inequalities goes to SD,
-        # the 3-constant equality-only class (bound 3 clauses) to EIJ.
+        # The product rule at 0: the class with inequalities goes to LAZY
+        # (EIJ atoms, so it counts among the EIJ classes), the 3-constant
+        # equality-only class (bound 3 clauses) to EIJ.
         bench = benchmark_by_name("ooo_t8_4")
         hybrid0 = decide(bench, "hybrid", sep_thold=0)
         assert hybrid0.valid is True
-        assert hybrid0.stats.counter("encode", "sd_classes") == 1
-        assert hybrid0.stats.counter("encode", "eij_classes") == 1
+        assert hybrid0.stats.counter("encode", "sd_classes") == 0
+        assert hybrid0.stats.counter("encode", "eij_classes") == 2
+        assert hybrid0.stats.counter("encode", "lazy_classes") == 1
         assert hybrid0.stats.counter("encode", "eq_bound_classes") == 1
 
     @pytest.mark.parametrize(
-        "name,options,eq_bound,sd",
+        "name,options,eq_bound,sd,lazy",
         [
-            ("transval_s3_i4_3", {}, 1, 0),
-            ("ooo_t16_7", {}, 0, 1),
-            ("transval_s3_i4_3", {"paper_rule": True}, 0, 1),
+            ("transval_s3_i4_3", {}, 1, 0, 0),
+            ("ooo_t16_7", {}, 0, 0, 1),
+            ("transval_s3_i4_3", {"paper_rule": True}, 0, 1, 0),
         ],
     )
-    def test_encode_record_says_why(self, name, options, eq_bound, sd):
+    def test_encode_record_says_why(self, name, options, eq_bound, sd, lazy):
         # transval's class (19 constants, SepCnt 171) is equality-only;
-        # ooo's class above the threshold has inequalities and offsets.
+        # ooo's class above the threshold has inequalities and offsets,
+        # so the product rule refines it lazily.
         result = decide(benchmark_by_name(name), "hybrid", options=options)
         assert result.valid is True
         assert result.stats.counter("encode", "eq_bound_classes") == eq_bound
         assert result.stats.counter("encode", "sd_classes") == sd
+        assert result.stats.counter("encode", "lazy_classes") == lazy
 
     def test_threshold_infinity_matches_eij(self):
         bench = benchmark_by_name("loadstore_e7_p14_3")
@@ -116,3 +136,36 @@ class TestThresholdEndpoints:
         assert hybrid_inf.stats.counter("encode", "eij_classes") == (
             eij.stats.counter("encode", "eij_classes")
         )
+
+
+class TestProductHybrid:
+    """The product HYBRID (the rule ``check`` runs) on the whole suite."""
+
+    @pytest.fixture(scope="class")
+    def benches(self):
+        return suite(valid=True) + suite(valid=False)
+
+    def test_decides_every_suite_query(self, benches):
+        for bench in benches:
+            outcome = check_validity(bench.formula, time_limit=30.0)
+            assert outcome.valid == bench.expected_valid, (
+                bench.name,
+                outcome.status,
+            )
+            if not bench.expected_valid:
+                assert not evaluate(bench.formula, outcome.counterexample), (
+                    bench.name
+                )
+
+    def test_paper_rule_never_picks_lazy(self, benches):
+        for bench in benches:
+            f_sep, _ = eliminate_applications(bench.formula)
+            for vclass in analyze_separation(f_sep).classes:
+                method = choose_method(
+                    vclass,
+                    DEFAULT_SEP_THOLD,
+                    DEFAULT_TRANS_BUDGET,
+                    paper_rule=True,
+                    lazy=True,
+                )
+                assert method != LAZY, bench.name

@@ -303,3 +303,69 @@ class TestPipelineIntegration:
             SolveRequest(formula=formula, preprocess=False)
         )
         assert "preprocess" not in [r.name for r in outcome.stages]
+
+
+class TestFrozenVariables:
+    """Frozen variables survive preprocessing, so clauses added over
+    them afterwards (lazy refinement's blocking clauses) stay sound."""
+
+    @staticmethod
+    def sorted_clauses(cnf):
+        return sorted(sorted(clause) for clause in cnf.clauses)
+
+    def test_frozen_variables_are_neither_eliminated_nor_pure(self):
+        # Unfrozen, 1 is resolved away (TestVariableElimination) and 3
+        # is pure (TestPureLiterals); frozen, every clause stays.
+        for clauses in ([[1, 2], [-1, 3], [-2, -3], [2, 3]], [[1, 3], [2, 3]]):
+            cnf = make_cnf(3, clauses)
+            pre = preprocess_cnf(cnf, frozen=[1, 2, 3])
+            assert pre.stats.vars_eliminated == 0
+            assert pre.stats.pure_literals == 0
+            assert self.sorted_clauses(pre.simplified) == (
+                self.sorted_clauses(cnf)
+            )
+
+    def test_fixed_frozen_variable_stays_as_a_unit_clause(self):
+        # 1 forces 2 forces 3; only the frozen 2 keeps its unit.
+        cnf = make_cnf(3, [[1], [-1, 2], [-2, 3]])
+        pre = preprocess_cnf(cnf, frozen=[2])
+        assert pre.stats.units_fixed == 3
+        assert pre.simplified.clauses == [[2]]
+        assert pre.stats.clauses_after == 1
+
+    def test_added_clauses_over_frozen_variables_keep_equisat(self):
+        rng = random.Random(20261018)
+
+        def random_clauses(count, variables):
+            return [
+                [
+                    rng.choice([-1, 1]) * rng.choice(variables)
+                    for _ in range(rng.randint(1, 3))
+                ]
+                for _ in range(count)
+            ]
+
+        for trial in range(150):
+            n = rng.randint(2, 12)
+            clauses = random_clauses(rng.randint(1, 35), range(1, n + 1))
+            frozen = rng.sample(range(1, n + 1), rng.randint(1, n))
+            pre = preprocess_cnf(make_cnf(n, clauses), frozen=frozen)
+            extra = random_clauses(rng.randint(1, 4), frozen)
+            original = make_cnf(n, clauses + extra)
+            reference = solve_cnf(original)
+            if pre.status == "UNSAT":
+                assert reference.is_unsat, "trial %d" % trial
+                continue
+            # A frozen variable leaves the clause db only as a fixed
+            # unit, and then the simplified CNF keeps that unit.
+            for lit, removed in pre.stack:
+                var = lit >> 1
+                if var in frozen:
+                    assert removed == [[lit]], "trial %d" % trial
+                    signed = -var if lit & 1 else var
+                    assert [signed] in pre.simplified.clauses
+            pre.simplified.add_clauses(extra)
+            result = solve_cnf(pre.simplified)
+            assert result.status == reference.status, "trial %d" % trial
+            if result.is_sat:
+                assert_model_satisfies(original, pre.reconstruct(result.model))

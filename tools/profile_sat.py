@@ -14,7 +14,11 @@ the eager pipeline (``run_eager``: func-elim, encode, cnf, preprocess,
 sat, decode) with HYBRID under ``SolveRequest``'s default SEP_THOLD and
 transitivity budget, the settings every caller and perfbench run.  The
 settings, the status and every stage record are printed before the
-profile table.
+profile table.  Classes with ``<`` or offsets go LAZY, so on the ooo,
+driver and invariant families the ``sat`` stage is the refinement loop
+(its record counts ``iterations``, ``theory_checks`` and
+``conflict_clauses``): ``invariant_n13_4`` is decided, where it used to
+stop at the transitivity budget as ``TRANSLATION_LIMIT``.
 
 With ``--cube`` the same instance is solved by the cube-and-conquer
 conductor instead: the conductor (cube generation, scheduling, clause
