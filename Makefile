@@ -94,7 +94,8 @@ paper-claims:
 # cProfile one generated CNF instance or one suite query end to end
 # (PROFILE_ARGS picks instance/flags, e.g. make profile
 # PROFILE_ARGS="php_9_8 --cube" or PROFILE_ARGS="invariant_n13_4", which
-# HYBRID now decides through its LAZY class's refinement loop).
+# HYBRID decides in one SAT search that checks its LAZY class's bounds;
+# the sat record counts the theory_conflicts).
 # The repository's benchmark is perfbench/ (python3 perfbench/run.py;
 # see perfbench/NOTES.md), not a make target.
 profile:

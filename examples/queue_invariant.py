@@ -8,8 +8,8 @@ obligation at increasing queue sizes and shows the paper's Figure-5 effect
 directly: the per-constraint encoding's transitivity constraints explode
 while SD stays flat, and HYBRID's class statistics explain the choice.
 The product HYBRID (the default ``check_validity``) sends the large class
-with inequalities to LAZY instead: EIJ atoms, no transitivity, and only
-the negative cycles a SAT model asserts are refined away.
+with inequalities to LAZY instead: EIJ atoms, no transitivity, and the
+SAT search learns only the negative cycles its assignments close.
 
 Run:  python examples/queue_invariant.py
 """

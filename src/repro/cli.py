@@ -905,7 +905,7 @@ def _cmd_analyze_formula(args) -> int:
             kind.append("inequalities")
         if vclass.has_offset:
             kind.append("offsets")
-        # As ``check`` runs it: the eager pipeline refines, so LAZY.
+        # As ``check`` runs it: the eager pipeline checks LAZY classes.
         method = choose_method(
             vclass, args.sep_thold, DEFAULT_TRANS_BUDGET, lazy=True
         )

@@ -17,15 +17,15 @@ it returns a :class:`~repro.core.result.SolveOutcome`.  The pipeline
 itself lives in :mod:`repro.engine.stages` (each stage individually
 timed and counted); this module keeps the entry point plus the
 CNF-model and decoding helpers shared by the eager pipeline, the lazy
-and SVC baselines, and incremental sessions, and the one lazy
-refinement loop (:func:`refine`) that the eager pipeline's LAZY classes
-and the lazy baseline both run.
+and SVC baselines, and incremental sessions, and the theory step
+(:func:`theory_conflict`) of the lazy baseline's refinement loop and of
+sessions.  The eager pipeline checks its LAZY classes inside the SAT
+search instead (:class:`~repro.theory.difference.DifferenceTheory`).
 """
 
 from __future__ import annotations
 
-import time
-from typing import Any, Dict, List, MutableMapping, Optional, Tuple
+from typing import Any, Dict, List, Tuple
 
 from ..encodings.bitvector import bv_value
 from ..encodings.hybrid import EIJ, LAZY, Encoding
@@ -38,7 +38,6 @@ from ..logic.traversal import (
     max_offset_magnitude,
 )
 from ..sat.cnf import Cnf
-from ..sat.solver import UNKNOWN, CdclSolver, SatResult, SatStats
 from ..separation.unionfind import DisjointSet
 from ..theory.difference import DifferenceResult, check_bounds
 from ..transform.func_elim import FuncElimInfo
@@ -49,7 +48,6 @@ __all__ = [
     "boolvar_model",
     "dimacs_literal",
     "theory_conflict",
-    "refine",
     "decode_countermodel",
     "lift_countermodel",
 ]
@@ -111,60 +109,6 @@ def theory_conflict(
     return theory, clause
 
 
-def refine(
-    cnf: Cnf,
-    registry: SepVarRegistry,
-    counters: MutableMapping[str, Any],
-    deadline: Optional[float] = None,
-    max_iterations: Optional[int] = None,
-    incremental: bool = True,
-) -> SatResult:
-    """Lazy refinement (the CVC loop): solve, check, block, re-solve.
-
-    Each round solves ``cnf`` with the time left before ``deadline`` (a
-    :func:`time.perf_counter` value), checks the bounds a SAT model
-    asserts (:func:`theory_conflict`), and adds the negative cycle's
-    blocking clause.  ``incremental`` keeps one solver, so learned
-    clauses carry over; otherwise each round restarts from scratch on
-    ``cnf``, to which the clauses are then added.
-
-    Returns the last round's result: UNSAT, SAT with consistent bounds,
-    or UNKNOWN when the search, the deadline or ``max_iterations`` ran
-    out.  ``counters`` receives ``iterations``, ``theory_checks`` and
-    ``conflict_clauses``.
-    """
-    counters.update(iterations=0, theory_checks=0, conflict_clauses=0)
-    solver: Optional[CdclSolver] = None
-    while max_iterations is None or counters["iterations"] < max_iterations:
-        remaining = None
-        if deadline is not None:
-            remaining = deadline - time.perf_counter()
-            if remaining < 0:
-                break
-            remaining = max(0.01, remaining)
-        counters["iterations"] += 1
-        if incremental and solver is not None:
-            solver.time_limit = remaining
-        else:
-            solver = CdclSolver(cnf, time_limit=remaining)
-        result = solver.solve()
-        if not result.is_sat:
-            return result
-        counters["theory_checks"] += 1
-        theory, clause = theory_conflict(
-            cnf, registry, boolvar_model(cnf, result.model)
-        )
-        if theory.consistent:
-            return result
-        if incremental:
-            solver.add_clause(clause)
-        else:
-            cnf.add_clause(clause)
-        counters["conflict_clauses"] += 1
-    stats = solver.stats if solver is not None else SatStats()
-    return SatResult(UNKNOWN, stats=stats)
-
-
 def decode_countermodel(
     encoding: Encoding, boolvar_model: Dict[BoolVar, bool]
 ) -> Interpretation:
@@ -172,8 +116,8 @@ def decode_countermodel(
 
     * SD-encoded constants: read their bit-vectors.
     * EIJ- and LAZY-encoded classes: the asserted difference bounds are
-      consistent (``F_trans`` holds, or refinement checked them), so
-      Bellman–Ford yields values.
+      consistent (``F_trans`` holds, or the theory checked them during
+      the search or the lazy loop), so Bellman–Ford yields values.
     * ``V_p`` constants: fresh maximally diverse values, spaced far apart
       and far above everything general.
     * user-level symbolic Boolean constants: copied from the model.

@@ -10,11 +10,12 @@ step by step:
    rule is ``SD`` when ``SepCnt(Vi) > SEP_THOLD``, else ``EIJ``.
    :func:`encode_hybrid` also sends an equality-only class above the
    threshold to ``EIJ`` when its transitivity provably fits the budget,
-   and, when its caller refines the SAT search (``lazy=True``, as
-   :func:`repro.engine.stages.run_eager` does), every class with ``<``
-   or an offset to ``LAZY``: EIJ atoms and no transitivity clauses, the
-   paper's CVC baseline for one class.  ``paper_rule=True`` (what
-   ``repro experiment`` runs) turns both off;
+   and, when its caller checks the bounds inside the SAT search
+   (``lazy=True``, as :func:`repro.engine.stages.run_eager` does),
+   every class with ``<`` or an offset to ``LAZY``: EIJ atoms and no
+   transitivity clauses, whose negative cycles the search learns as
+   conflict clauses (the CVC baseline's clauses, DPLL(T)-style).
+   ``paper_rule=True`` (what ``repro experiment`` runs) turns both off;
 3. recurse over the formula structure — Boolean connectives map to
    themselves, atoms are encoded per their class's method:
 
@@ -32,7 +33,7 @@ step by step:
 4. conjoin the per-class transitivity constraints (EIJ classes) and the
    domain-bound constraints (SD classes) into ``F_trans``; a LAZY class
    adds nothing, and its consistency is left to the caller's
-   refinement loop;
+   in-search theory check;
 5. the result represents ``F_bool = F_trans ⟹ F_bvar``; validity of the
    input is checked by testing ``F_trans ∧ ¬F_bvar`` for unsatisfiability.
 """
@@ -143,11 +144,11 @@ def choose_method(
     threshold is ``EIJ`` too when that bound fits ``trans_budget``
     (``None``: no budget), and its generation can never trip the budget.
 
-    ``lazy`` says the caller refines the SAT search against the bounds
-    a model asserts.  Then, unless ``paper_rule``, every class with
+    ``lazy`` says the caller checks the bounds the SAT search asserts as
+    it assigns them.  Then, unless ``paper_rule``, every class with
     ``<`` or an offset is ``LAZY`` whatever its SepCnt: its transitivity
-    is the one that can blow up, and refinement adds only the
-    negative cycles a model actually asserts.
+    is the one that can blow up, and the search learns only the
+    negative cycles its assignments actually close.
     """
     if lazy and not paper_rule and not _equality_only(vclass):
         return LAZY
@@ -569,9 +570,10 @@ def encode_hybrid(
     class above the threshold goes to EIJ when its transitivity provably
     fits ``trans_budget``, and with ``lazy`` every class with ``<`` or an
     offset goes to LAZY, unless ``paper_rule`` asks for the paper's
-    SepCnt rule alone.  A caller that passes ``lazy`` must refine the
-    SAT search (:func:`repro.core.decision.refine`): the encoding leaves
-    out the LAZY classes' transitivity.
+    SepCnt rule alone.  A caller that passes ``lazy`` must check the
+    LAZY classes' bounds in the SAT search (a
+    :class:`~repro.theory.difference.DifferenceTheory`): the encoding
+    leaves out their transitivity.
 
     Transitivity generation raises
     :class:`~repro.encodings.transitivity.TransitivityBudgetExceeded`

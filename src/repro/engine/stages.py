@@ -15,23 +15,24 @@ decode.
 
 When :func:`run_eager` runs the SAT search itself, HYBRID may send a
 class to ``LAZY`` (EIJ atoms, no transitivity clauses).  The ``sat``
-stage is then the lazy refinement loop
-(:func:`repro.core.decision.refine`): solve, check the asserted bounds,
-block a negative cycle and re-solve before the run's deadline.  The
-preprocessor keeps those classes' bound variables frozen, so blocking
-clauses may name them.
+stage's one search then carries a difference-logic theory over those
+classes' bound variables
+(:class:`~repro.theory.difference.DifferenceTheory`): the solver checks
+the bounds its trail asserts at every propagation fixpoint and learns
+each negative cycle as a conflict clause, so a SAT model's bounds are
+consistent.  The preprocessor keeps the bound variables frozen, so the
+theory sees every bound a model asserts.
 """
 
 from __future__ import annotations
 
 import time
-from typing import Any, Callable, List, Optional
+from typing import Any, Callable, Dict, List, Optional, Set
 
 from ..core.decision import (
     boolvar_model,
     decode_countermodel,
     lift_countermodel,
-    refine,
 )
 from ..core.result import (
     DecisionStats,
@@ -41,17 +42,22 @@ from ..core.result import (
 )
 from ..core.status import Status
 from ..encodings.hybrid import (
+    LAZY,
+    Encoding,
     encode_eij,
     encode_hybrid,
     encode_sd,
     encode_static_hybrid,
 )
+from ..encodings.sepvars import Bound
 from ..encodings.transitivity import TransitivityBudgetExceeded
 from ..logic.semantics import evaluate
+from ..logic.terms import Var
 from ..logic.traversal import dag_size
 from ..sat.preprocess import preprocess_cnf
 from ..sat.solver import CdclSolver, SatStats
 from ..sat.tseitin import to_cnf
+from ..theory.difference import DifferenceTheory
 from ..transform.func_elim import eliminate_applications
 from .contract import SolveRequest
 
@@ -71,10 +77,10 @@ SatRunner = Callable[[Any, SolveRequest, StageRecord, List[int]], Any]
 #: Each encoder is called with ``F_sep``, the request, the solve's
 #: deadline (a :func:`time.perf_counter` value, or ``None``), which bounds
 #: transitivity generation the way ``trans_budget`` does, and whether the
-#: ``sat`` stage refines (no ``sat_runner``).  HYBRID reads
+#: ``sat`` stage checks LAZY classes (no ``sat_runner``).  HYBRID reads
 #: ``options["paper_rule"]``, which ``repro experiment`` sets to run the
 #: paper's SepCnt rule alone, and picks LAZY classes only when the
-#: ``sat`` stage refines.
+#: ``sat`` stage checks them.
 _ENCODERS = {
     "sd": lambda f_sep, req, deadline, lazy: encode_sd(
         f_sep, sd_ranges=req.sd_ranges
@@ -111,12 +117,11 @@ def run_eager(
 
     ``request.time_limit`` bounds transitivity generation, counted from
     the start of the run, and the SAT search on its own: the first ends
-    as ``TRANSLATION_LIMIT``, the second as ``UNKNOWN``.  A refining
-    ``sat`` stage (an encoding with LAZY classes) instead re-solves only
-    until the run's deadline.
+    as ``TRANSLATION_LIMIT``, the second as ``UNKNOWN``.  LAZY classes
+    change neither: their bounds are checked inside the one search.
 
-    A ``sat_runner`` replaces the SAT search and never refines, so the
-    encoder then keeps every class eager (SD or EIJ).
+    A ``sat_runner`` replaces the SAT search and attaches no theory, so
+    the encoder then keeps every class eager (SD or EIJ).
     """
     if method not in _ENCODERS:
         raise ValueError(
@@ -183,15 +188,14 @@ def run_eager(
         rec.counters["sep_cnf_vars"] = len(sep_cnf_vars)
         rec.artifacts["sep_cnf_vars"] = sep_cnf_vars
 
-    lazy = encoding.stats.lazy_classes > 0
     pre = None
     solver_cnf = cnf
     if request.preprocess:
         with clock.stage("preprocess") as rec:
-            # Refinement adds clauses over the bound variables: freeze them.
+            # The theory reads every bound a model asserts: freeze them.
             frozen = (
                 encoding.registry.cnf_var_ids(cnf, eq_vars=False)
-                if lazy
+                if encoding.stats.lazy_classes
                 else ()
             )
             pre = preprocess_cnf(cnf, frozen)
@@ -214,17 +218,17 @@ def run_eager(
     with clock.stage("sat") as rec:
         if sat_runner is not None:
             sat_result = sat_runner(solver_cnf, request, rec, sep_cnf_vars)
-        elif lazy:
-            sat_result = refine(
-                solver_cnf, encoding.registry, rec.counters, deadline
-            )
         else:
-            solver = CdclSolver(solver_cnf, time_limit=request.time_limit)
-            sat_result = solver.solve()
+            sat_result = CdclSolver(
+                solver_cnf,
+                time_limit=request.time_limit,
+                theory=_lazy_theory(encoding, solver_cnf),
+            ).solve()
         stats.sat = sat_result.stats
         rec.counters["decisions"] = sat_result.stats.decisions
         rec.counters["propagations"] = sat_result.stats.propagations
         rec.counters["conflicts"] = sat_result.stats.conflicts
+        rec.counters["theory_conflicts"] = sat_result.stats.theory_conflicts
         rec.counters["learned"] = sat_result.stats.learned_clauses
 
     if sat_result.status == "UNKNOWN":
@@ -250,3 +254,25 @@ def run_eager(
                     "encoding bug"
                 )
     return outcome(Status.INVALID, counterexample=counterexample)
+
+
+def _lazy_theory(encoding: Encoding, cnf: Any) -> Optional[DifferenceTheory]:
+    """The in-search check of the LAZY classes' bounds (``None``: none).
+
+    Only LAZY classes' bound variables are atoms: ``F_trans`` closes the
+    EIJ classes, and no two classes share a constant.
+    """
+    among: Set[Var] = set()
+    for vclass in encoding.analysis.classes:
+        if encoding.method_of_class[vclass.index] == LAZY:
+            among.update(vclass.vars)
+    if not among:
+        return None
+    registry = encoding.registry
+    atoms: Dict[int, Bound] = {}
+    for var in registry.all_vars():
+        bound = registry.bound_of(var)
+        cnf_id = cnf.lookup(var)
+        if bound is not None and bound.lhs in among and cnf_id is not None:
+            atoms[cnf_id] = bound
+    return DifferenceTheory(cnf.num_vars, atoms)

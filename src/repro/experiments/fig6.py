@@ -9,8 +9,9 @@ the 39 non-invariant benchmarks:
   of magnitude except on conjunctions that one conflict clause settles.
 
 The ``HYBRID+LAZY`` column is an extension, not the paper's: the product
-HYBRID, which refines its classes with ``<`` or offsets lazily.  The
-claims are about the paper's HYBRID alone.
+HYBRID, whose SAT search checks its classes with ``<`` or offsets
+lazily, learning each negative cycle as a conflict clause.  The claims
+are about the paper's HYBRID alone.
 """
 
 from __future__ import annotations

@@ -108,7 +108,8 @@ def _procedure(engine: str, **default_options) -> Callable:
 #: HYBRID runs the paper's SepCnt rule alone, as Figs. 3–5, THOLD and
 #: the ablations reproduce the paper's HYBRID.  HYBRID+LAZY is this
 #: repository's extension, the product rule ``repro check`` runs (LAZY
-#: classes refined in the ``sat`` stage); no claim rests on it.  A
+#: classes checked inside the ``sat`` stage's search); no claim rests on
+#: it.  A
 #: keyword named by a procedure's options overrides it per run: ABL3
 #: runs CVC(lazy) with ``incremental=False``.
 PROCEDURES: Dict[str, Callable] = {

@@ -30,7 +30,10 @@ interning history (``Eq`` stores its arguments sorted by interning
   rounds) assigns every symbol a color from its occurrence structure
   only; ``Eq`` children are visited smaller-color-digest first, so the
   traversal order — and hence the first-occurrence numbering — does not
-  depend on how ``Eq`` happened to store its arguments;
+  depend on how ``Eq`` happened to store its arguments.  When the two
+  children tie, the one visited first gets a fresh color and the
+  refinement runs again, so every later tie follows that choice
+  (individualization–refinement);
 * the canonical text renders ``Eq`` with its two rendered arguments
   sorted, so the digest is invariant under argument order.
 
@@ -78,7 +81,7 @@ __all__ = [
 ]
 
 #: Bumping this invalidates every persisted key (schema evolution).
-CANONICAL_VERSION = 1
+CANONICAL_VERSION = 2
 
 #: Upper bound on shape-refinement rounds (the loop stops as soon as the
 #: color partition stops refining, which for 1-WL is a fixpoint).
@@ -117,7 +120,10 @@ def _node_symbol(node: Node) -> Optional[Tuple[str, str]]:
     return None
 
 
-def _wl_colors(root: Node) -> Dict[object, bytes]:
+Edges = Dict[object, List[Tuple[bytes, object]]]
+
+
+def _wl_colors(root: Node) -> Tuple[Dict[object, bytes], Edges]:
     """Name-blind colors for every DAG node and applied symbol.
 
     Bidirectional Weisfeiler–Lehman refinement over the term DAG plus one
@@ -139,11 +145,12 @@ def _wl_colors(root: Node) -> Dict[object, bytes]:
     information (short of full graph canonization) tells them apart.
     Keys are ``id(node)`` for DAG nodes and ``(kind, name)`` tuples for
     applied symbols; ``Var``/``BoolVar`` leaves are hash-consed (one node
-    per name), so their node color doubles as the symbol color.
+    per name), so their node color doubles as the symbol color.  Returns
+    the colors and the incidence lists :func:`_refine` reads.
     """
     nodes = list(postorder(root))
     colors: Dict[object, bytes] = {}
-    edges: Dict[object, List[Tuple[bytes, object]]] = {}
+    edges: Edges = {}
 
     def add_edge(a: object, tag: bytes, b: object) -> None:
         edges.setdefault(a, []).append((b"down:" + tag, b))
@@ -169,16 +176,20 @@ def _wl_colors(root: Node) -> Dict[object, bytes]:
                 b"eq" if isinstance(node, Eq) else str(index).encode()
             )
             add_edge(id(node), position, id(child))
+    return _refine(colors, edges), edges
 
+
+def _refine(colors: Dict[object, bytes], edges: Edges) -> Dict[object, bytes]:
+    """WL rounds from ``colors`` until the partition stops refining."""
     classes = len(set(colors.values()))
     for _ in range(_MAX_REFINE_ROUNDS):
         if classes == len(colors):
             break
         refined: Dict[object, bytes] = {}
         for key, color in colors.items():
-            incident = sorted(
-                _digest(tag, colors[other]) for tag, other in edges[key]
-            )
+            # A color is a fixed-width digest, so tag + color is
+            # unambiguous without hashing each edge on its own.
+            incident = sorted(tag + colors[other] for tag, other in edges[key])
             refined[key] = _digest(color, *incident)
         colors = refined
         refined_classes = len(set(colors.values()))
@@ -188,16 +199,18 @@ def _wl_colors(root: Node) -> Dict[object, bytes]:
     return colors
 
 
-def _assign_names(
-    root: Node, colors: Dict[object, bytes]
-) -> Dict[Tuple[str, str], str]:
+def _assign_names(root: Node) -> Dict[Tuple[str, str], str]:
     """First-occurrence canonical names along a deterministic DFS.
 
-    ``Eq`` children are visited smaller-color first (tie: stored order —
-    a tie means even bidirectional WL refinement cannot tell the two
-    subtrees apart), so the numbering does not depend on ``Eq``'s
-    uid-sorted storage.
+    ``Eq`` children are visited smaller-color first, so the numbering
+    does not depend on ``Eq``'s uid-sorted storage.  A tie means even
+    bidirectional WL refinement cannot tell the two subtrees apart: the
+    child visited first (stored order) then gets a fresh color, and the
+    colors are refined again before the walk goes on, so a later tie
+    that the choice decides (say ``(= (f x) (g y))`` after ``(= x y)``)
+    follows it instead of being broken by stored order again.
     """
+    colors, edges = _wl_colors(root)
     naming: Dict[Tuple[str, str], str] = {}
     counters: Dict[str, int] = {}
     seen: set = set()
@@ -216,6 +229,12 @@ def _assign_names(
         children = list(node.children())
         if isinstance(node, Eq):
             children.sort(key=lambda c: colors[id(c)])
+            first, second = children
+            if first is not second and (
+                colors[id(first)] == colors[id(second)]
+            ):
+                colors[id(first)] = _digest(b"chosen", colors[id(first)])
+                colors.update(_refine(colors, edges))
         # LIFO stack: push reversed so children are visited left-to-right.
         stack.extend(reversed(children))
     return naming
@@ -363,7 +382,7 @@ def canonicalize(formula: Formula) -> CanonicalForm:
     """The canonical representative of ``formula``'s isomorphism class."""
     if not isinstance(formula, Formula):
         raise TypeError("canonicalize expects a Formula, got %r" % (formula,))
-    naming = _assign_names(formula, _wl_colors(formula))
+    naming = _assign_names(formula)
     text = _canonical_text(formula, naming)
     key = hashlib.sha256(
         ("suf-canonical-v%d\n%s" % (CANONICAL_VERSION, text)).encode()
@@ -407,7 +426,7 @@ def canonical_key(formula: Formula) -> str:
         raise TypeError(
             "canonical_key expects a Formula, got %r" % (formula,)
         )
-    naming = _assign_names(formula, _wl_colors(formula))
+    naming = _assign_names(formula)
     text = _canonical_text(formula, naming)
     return hashlib.sha256(
         ("suf-canonical-v%d\n%s" % (CANONICAL_VERSION, text)).encode()

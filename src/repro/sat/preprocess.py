@@ -35,15 +35,17 @@ Variable numbering is preserved: the simplified :class:`Cnf` has the same
 ``num_vars`` and name table as the input, eliminated variables simply no
 longer occur in any clause.
 
-**Frozen variables**, as in MiniSat's ``SimpSolver``: a caller that will
-add clauses over some variables after preprocessing (the eager
-pipeline's lazy refinement adds blocking clauses over the LAZY classes'
-bound variables) names them in ``frozen``.  Pure-literal elimination
-and variable elimination skip a frozen variable, and one that unit
-propagation fixes stays in the simplified CNF as a unit clause, so a
-solver that later meets it in an added clause knows its value.
-(Subsumption and self-subsuming resolution keep the formula's models,
-so they need no exception.)
+**Frozen variables**, as in MiniSat's ``SimpSolver``: a caller whose
+solver will read some variables' values or add clauses over them names
+them in ``frozen``.  The eager pipeline freezes the bound variables of
+an encoding with LAZY classes: its in-search theory reads every bound a
+model asserts and learns conflict clauses over them (no clause is added
+between solves any more).  Pure-literal elimination and variable
+elimination skip a frozen variable, and one that unit propagation fixes
+stays in the simplified CNF as a unit clause, so the solver assigns it
+on its trail, where the theory sees it.  (Subsumption and
+self-subsuming resolution keep the formula's models, so they need no
+exception.)
 """
 
 from __future__ import annotations

@@ -8,7 +8,9 @@ The solver implements the standard conflict-driven clause-learning loop:
 * Luby-sequence restarts,
 * glue-aware (LBD) learned-clause database reduction,
 * inprocessing between reduction rounds: bounded clause vivification
-  and backward subsumption over the learned-clause database.
+  and backward subsumption over the learned-clause database,
+* an optional theory consulted at every propagation fixpoint (DPLL(T)):
+  a theory conflict is learned like any other conflict.
 
 It also exposes the counters the paper's Figure 2 reports — CNF clause
 count, *conflict (learned) clause* count, decisions, propagations — so the
@@ -57,11 +59,11 @@ from __future__ import annotations
 import heapq
 import time
 from dataclasses import dataclass, field
-from typing import Callable, Dict, List, Optional, Set
+from typing import Callable, Dict, List, Optional, Protocol, Sequence, Set
 
 from .cnf import Cnf, pack_literal, unpack_literal
 
-__all__ = ["SatStats", "SatResult", "CdclSolver", "solve_cnf"]
+__all__ = ["SatStats", "SatResult", "Theory", "CdclSolver", "solve_cnf"]
 
 SAT = "SAT"
 UNSAT = "UNSAT"
@@ -98,6 +100,8 @@ class SatStats:
     # Clause-sharing counters (cube-and-conquer, PR 8).
     exported_clauses: int = 0
     imported_clauses: int = 0
+    #: Conflicts the theory found (also counted in ``conflicts``).
+    theory_conflicts: int = 0
 
 
 @dataclass
@@ -123,6 +127,27 @@ class SatResult:
     @property
     def is_unsat(self) -> bool:
         return self.status == UNSAT
+
+
+class Theory(Protocol):
+    """What :class:`CdclSolver` asks of an attached theory.
+
+    ``head`` is how many trail literals the theory has read.
+    :meth:`check` reads ``trail[head:size]`` (packed literals) and
+    returns ``None``, or a lemma: packed literals, all false under the
+    trail, whose disjunction the theory implies.  :meth:`backtrack`
+    forgets the trail from position ``size`` on.
+    :class:`repro.theory.difference.DifferenceTheory` is the one
+    implementation.
+    """
+
+    head: int
+
+    def check(
+        self, trail: Sequence[int], size: int
+    ) -> Optional[List[int]]: ...
+
+    def backtrack(self, size: int) -> None: ...
 
 
 def _luby(i: int) -> int:
@@ -158,6 +183,12 @@ class CdclSolver:
         Enable vivification + learned-clause subsumption between
         ``_reduce_db`` rounds.  Exposed so differential tests can check
         that inprocessing never changes a verdict.
+    theory:
+        A :class:`Theory` over the CNF's variables, checked at every
+        conflict-free propagation fixpoint; its lemma is added as a
+        learned clause and analysed like a propagation conflict, so a
+        SAT answer's model is consistent with the theory.  ``None``
+        (the default) is plain SAT.
     """
 
     RESTART_BASE = 128
@@ -177,11 +208,13 @@ class CdclSolver:
         max_conflicts: Optional[int] = None,
         time_limit: Optional[float] = None,
         inprocess: bool = True,
+        theory: Optional[Theory] = None,
     ) -> None:
         self.nvars = cnf.num_vars
         self.max_conflicts = max_conflicts
         self.time_limit = time_limit
         self.inprocess = inprocess
+        self.theory = theory
         self.stats = SatStats(original_clauses=len(cnf))
 
         n = self.nvars + 1
@@ -461,6 +494,9 @@ class CdclSolver:
         del self.trail_lim[level:]
         if self.qhead > bound:
             self.qhead = bound
+        theory = self.theory
+        if theory is not None and theory.head > bound:
+            theory.backtrack(bound)
 
     # -- propagation --------------------------------------------------------
 
@@ -725,6 +761,29 @@ class CdclSolver:
         self.trail_size = ts
         stats.propagations += props
         return NO_REASON
+
+    def _theory_conflict(self, theory: Theory) -> int:
+        """Hand the new trail literals to ``theory``.
+
+        Returns ``NO_REASON``, or the ref of the theory's lemma, added as
+        a learned clause watched on its two highest-level literals, after
+        backtracking to the highest level among them so that analysis
+        starts from a conflict at the current level (at level 0, the
+        caller reports UNSAT).
+        """
+        lemma = theory.check(self.trail, self.trail_size)
+        if lemma is None:
+            return NO_REASON
+        self.stats.theory_conflicts += 1
+        levels = self.levels
+        lemma.sort(key=lambda q: levels[q >> 1], reverse=True)
+        ref = self._alloc(
+            lemma, FLAG_LEARNED, len({levels[q >> 1] for q in lemma})
+        )
+        self.learned_refs.append(ref)
+        self._watch_clause(ref)
+        self._backtrack(levels[lemma[0] >> 1])
+        return ref
 
     # -- conflict analysis ---------------------------------------------------
 
@@ -1334,9 +1393,16 @@ class CdclSolver:
         restart_count = 1
         conflicts_since_restart = 0
         levels = self.levels
+        theory = self.theory
 
         while True:
             conflict = self._propagate()
+            if (
+                conflict < 0
+                and theory is not None
+                and theory.head < self.trail_size
+            ):
+                conflict = self._theory_conflict(theory)
             if conflict >= 0:
                 self.stats.conflicts += 1
                 conflicts_since_restart += 1
@@ -1422,6 +1488,8 @@ class CdclSolver:
             if lit == 0:
                 lit = self._next_decision()
                 if lit == 0:
+                    if theory is not None and theory.head < self.trail_size:
+                        continue  # units inprocessing fixed after the check
                     model = {
                         v: vals[v << 1] > 0
                         for v in range(1, self.nvars + 1)

@@ -16,37 +16,98 @@ formulas by *lazy* Boolean abstraction:
 Faithful-to-the-original choices:
 
 * no positive-equality analysis (CVC interprets all constants generally);
-* the refinement loop pays a theory check plus a SAT (re)start per round
-  — the per-iteration overhead the paper measures against (CVC used a
-  customised incremental Chaff; both an incremental mode and a
-  restart-from-scratch mode are provided, the latter isolating the
-  overhead in the ablation benchmarks);
+* the refinement loop (:func:`refine`) pays a theory check plus a SAT
+  (re)start per round — the per-iteration overhead the paper measures
+  against (CVC used a customised incremental Chaff; both an incremental
+  mode and a restart-from-scratch mode are provided, the latter
+  isolating the overhead in the ablation benchmarks);
 * conflict clauses are minimal (one negative cycle each), mirroring
   "CVC tries to add conflict clauses that involve the smallest possible
   subset of literals from the satisfying assignment".
+
+HYBRID's LAZY classes get the same conflict clauses without the loop:
+the eager pipeline checks their bounds inside its one SAT search
+(:mod:`repro.engine.stages`).
 """
 
 from __future__ import annotations
 
 import time
-from typing import Optional
+from typing import Any, MutableMapping, Optional
 
 from ..core.decision import (
     boolvar_model,
     decode_countermodel,
     lift_countermodel,
-    refine,
+    theory_conflict,
 )
 from ..core.result import DecisionStats, SolveOutcome, StageClock
 from ..core.status import Status
 from ..encodings.hybrid import encode_eij
+from ..encodings.sepvars import SepVarRegistry
 from ..logic.terms import Formula
 from ..logic.traversal import dag_size
+from ..sat.cnf import Cnf
+from ..sat.solver import UNKNOWN, CdclSolver, SatResult, SatStats
 from ..sat.tseitin import to_cnf
 from ..separation.analysis import analyze_separation
 from ..transform.func_elim import eliminate_applications
 
-__all__ = ["check_validity_lazy"]
+__all__ = ["check_validity_lazy", "refine"]
+
+
+def refine(
+    cnf: Cnf,
+    registry: SepVarRegistry,
+    counters: MutableMapping[str, Any],
+    deadline: Optional[float] = None,
+    max_iterations: Optional[int] = None,
+    incremental: bool = True,
+) -> SatResult:
+    """Lazy refinement (the CVC loop): solve, check, block, re-solve.
+
+    Each round solves ``cnf`` with the time left before ``deadline`` (a
+    :func:`time.perf_counter` value), checks the bounds a SAT model
+    asserts (:func:`theory_conflict`), and adds the negative cycle's
+    blocking clause.  ``incremental`` keeps one solver, so learned
+    clauses carry over; otherwise each round restarts from scratch on
+    ``cnf``, to which the clauses are then added.
+
+    Returns the last round's result: UNSAT, SAT with consistent bounds,
+    or UNKNOWN when the search, the deadline or ``max_iterations`` ran
+    out.  ``counters`` receives ``iterations``, ``theory_checks`` and
+    ``conflict_clauses``.
+    """
+    counters.update(iterations=0, theory_checks=0, conflict_clauses=0)
+    solver: Optional[CdclSolver] = None
+    while max_iterations is None or counters["iterations"] < max_iterations:
+        remaining = None
+        if deadline is not None:
+            remaining = deadline - time.perf_counter()
+            if remaining < 0:
+                break
+            remaining = max(0.01, remaining)
+        counters["iterations"] += 1
+        if incremental and solver is not None:
+            solver.time_limit = remaining
+        else:
+            solver = CdclSolver(cnf, time_limit=remaining)
+        result = solver.solve()
+        if not result.is_sat:
+            return result
+        counters["theory_checks"] += 1
+        theory, clause = theory_conflict(
+            cnf, registry, boolvar_model(cnf, result.model)
+        )
+        if theory.consistent:
+            return result
+        if incremental:
+            solver.add_clause(clause)
+        else:
+            cnf.add_clause(clause)
+        counters["conflict_clauses"] += 1
+    stats = solver.stats if solver is not None else SatStats()
+    return SatResult(UNKNOWN, stats=stats)
 
 
 def check_validity_lazy(
@@ -66,8 +127,7 @@ def check_validity_lazy(
     ablation benchmark).
 
     Stages: ``func-elim``, ``encode`` and ``cnf``, then ``refine``
-    (:func:`repro.core.decision.refine`, the loop HYBRID's LAZY classes
-    run too) with its ``iterations``, ``theory_checks`` and
+    (:func:`refine`) with its ``iterations``, ``theory_checks`` and
     ``conflict_clauses`` counters.
     """
     start = time.perf_counter()

@@ -1,11 +1,17 @@
 """Theory solvers: difference-bound conjunctions and congruence closure."""
 
 from .congruence import CongruenceClosure
-from .difference import DifferenceResult, DifferenceSolver, check_bounds
+from .difference import (
+    DifferenceResult,
+    DifferenceSolver,
+    DifferenceTheory,
+    check_bounds,
+)
 
 __all__ = [
     "CongruenceClosure",
     "DifferenceResult",
     "DifferenceSolver",
+    "DifferenceTheory",
     "check_bounds",
 ]

@@ -34,7 +34,7 @@ from repro.logic.canonical import (
 from repro.logic.parser import parse_formula
 from repro.logic.printer import to_sexpr
 from repro.logic.semantics import evaluate
-from repro.logic.terms import Eq, Var
+from repro.logic.terms import And, Eq, FuncApp, Var
 from repro.logic.traversal import (
     collect_atoms,
     collect_bool_vars,
@@ -104,6 +104,24 @@ class TestAlphaInvariance:
         assert canonical_key(formula) == canonical_key(
             _alpha_variant(formula)
         )
+
+    def test_symmetric_eq_ties_follow_one_choice(self):
+        # Refinement cannot tell v0 from v1, nor (f0 v0) from (f1 v1), so
+        # both Eqs tie.  The variant's constants are interned in the
+        # opposite order (its applications in the same order), so its
+        # first Eq stores its children the other way round; the second
+        # tie must follow the first choice, not stored order again.
+        original = parse_formula(
+            "(and (= tie_a tie_b) (= (tie_f tie_a) (tie_g tie_b)))"
+        )
+        d = Var("tie_d")
+        c = Var("tie_c")
+        variant = And(
+            Eq(c, d), Eq(FuncApp("tie_h", (c,)), FuncApp("tie_k", (d,)))
+        )
+        assert c.uid > d.uid
+        assert canonical_key(original) == canonical_key(variant)
+        assert canonicalize(original).text == canonicalize(variant).text
 
 
 def _mutate(formula, seed):

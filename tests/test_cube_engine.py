@@ -59,8 +59,8 @@ class TestEngine:
         assert not evaluate(formula, outcome.counterexample)
 
     def test_classes_stay_eager_without_refinement(self):
-        # Cube's workers never refine, so HYBRID keeps ooo's class with
-        # inequalities eager (SD) instead of LAZY.
+        # Cube's workers attach no theory, so HYBRID keeps ooo's class
+        # with inequalities eager (SD) instead of LAZY.
         bench = benchmark_by_name("ooo_t16_7")
         outcome = registry.get("cube").solve(
             SolveRequest(formula=bench.formula, options={"cube_procs": 2})

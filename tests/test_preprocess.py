@@ -307,7 +307,8 @@ class TestPipelineIntegration:
 
 class TestFrozenVariables:
     """Frozen variables survive preprocessing, so clauses added over
-    them afterwards (lazy refinement's blocking clauses) stay sound."""
+    them afterwards (the in-search theory's conflict clauses) stay
+    sound."""
 
     @staticmethod
     def sorted_clauses(cnf):

@@ -15,10 +15,11 @@ sat, decode) with HYBRID under ``SolveRequest``'s default SEP_THOLD and
 transitivity budget, the settings every caller and perfbench run.  The
 settings, the status and every stage record are printed before the
 profile table.  Classes with ``<`` or offsets go LAZY, so on the ooo,
-driver and invariant families the ``sat`` stage is the refinement loop
-(its record counts ``iterations``, ``theory_checks`` and
-``conflict_clauses``): ``invariant_n13_4`` is decided, where it used to
-stop at the transitivity budget as ``TRANSLATION_LIMIT``.
+driver and invariant families the ``sat`` stage's one search checks
+their bounds as it assigns them (its record counts
+``theory_conflicts``, the negative cycles learned as conflict clauses,
+among its ``conflicts``): ``invariant_n13_4`` is decided, where it used
+to stop at the transitivity budget as ``TRANSLATION_LIMIT``.
 
 With ``--cube`` the same instance is solved by the cube-and-conquer
 conductor instead: the conductor (cube generation, scheduling, clause
