@@ -1,7 +1,7 @@
 PYTHON ?= python
 PYTHONPATH := src
 
-.PHONY: test portfolio-one-cpu lint typecheck analyze analyze-baseline sarif fuzz fuzz-smoke compete-smoke examples paper-claims profile coverage ci clean
+.PHONY: test portfolio-one-cpu lint typecheck analyze analyze-baseline sarif fuzz fuzz-smoke compete-smoke examples paper-claims perfbench-tests profile coverage ci clean
 
 test:
 	PYTHONPATH=$(PYTHONPATH) $(PYTHON) -m pytest -x -q
@@ -91,6 +91,12 @@ examples:
 paper-claims:
 	PYTHONPATH=$(PYTHONPATH) $(PYTHON) -m repro experiment all
 
+# The benchmark's own tests (about 3 minutes): its helpers, hermetic
+# runs and streams, including the check that the spans around one suite
+# query match its stage records (the preprocess stage among them).
+perfbench-tests:
+	$(PYTHON) -m pytest perfbench/tests -q
+
 # cProfile one generated CNF instance or one suite query end to end
 # (PROFILE_ARGS picks instance/flags, e.g. make profile
 # PROFILE_ARGS="php_9_8 --cube" or PROFILE_ARGS="invariant_n13_4", which
@@ -119,12 +125,10 @@ fuzz-smoke:
 # Every step of .github/workflows/ci.yml that runs without extra
 # packages: static analysis (plus ruff and mypy when installed), tier-1
 # tests, the one-CPU portfolio run, fuzz smoke, compete smoke, the
-# examples and the paper claims (about 11 minutes of the total).
-# Three steps stay CI-only: the
-# coverage gate (needs pytest-cov), the SARIF log (an upload artifact),
-# and the perfbench-tests job (python3 -m pytest perfbench/tests, about
-# 3 minutes).
-ci: lint typecheck test portfolio-one-cpu fuzz-smoke compete-smoke examples paper-claims
+# examples, the benchmark's tests and the paper claims (about 11
+# minutes of the total).  Two steps stay CI-only: the coverage gate
+# (needs pytest-cov) and the SARIF log (an upload artifact).
+ci: lint typecheck test portfolio-one-cpu fuzz-smoke compete-smoke examples perfbench-tests paper-claims
 
 clean:
 	rm -rf fuzz-failures .pytest_cache .hypothesis .compete-benchgen \

@@ -209,6 +209,8 @@ def run_eager(
             rec.counters["subsumed"] = pre.stats.clauses_subsumed
             rec.counters["strengthened"] = pre.stats.literals_strengthened
             rec.counters["eliminated"] = pre.stats.vars_eliminated
+            rec.counters["rounds"] = pre.stats.rounds
+            rec.counters["clauses_scanned"] = pre.stats.clauses_scanned
         if pre.status == "UNSAT":
             # Preprocessing closed the instance; the search never runs,
             # so report truthful all-zero SAT counters.

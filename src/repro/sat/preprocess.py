@@ -4,8 +4,8 @@ The eager pipeline ships Tseitin output straight into the CDCL solver;
 this module sits between the two and shrinks the propositional problem
 first:
 
-* **top-level unit propagation** to fixpoint (satisfied clauses removed,
-  falsified literals stripped, new units cascaded);
+* **top-level unit propagation** (satisfied clauses removed, falsified
+  literals stripped, new units cascaded);
 * **pure-literal elimination** (a variable occurring in one polarity only
   is satisfiable for free — its clauses are removed);
 * **subsumption** over occurrence lists (a clause containing a superset
@@ -14,6 +14,26 @@ first:
   ``(A ∨ B ∨ ¬l)`` to ``(A ∨ B)``);
 * **bounded variable elimination** (resolve a variable away when the
   resolvents are no more numerous than the clauses they replace).
+
+The rules run to a fixpoint under SatELite's queue discipline, so each
+one revisits only what changed since it last ran:
+
+* a clause serves as a **subsumer** — it removes or strengthens the
+  clauses it (self-)subsumes, found through its least-occurring
+  literal — when it enters the clause db and again whenever it loses a
+  literal;
+* each **resolvent** still live after the elimination pass that added
+  it is checked the other way, against the clauses that could subsume
+  or strengthen it (each shares one of its literals);
+* a variable is retried for pure-literal and bounded elimination only
+  when a clause containing it was added, removed or shortened.
+
+The loop ends: every change removes a clause or a literal without
+adding a variable, or removes a variable for good (an elimination, the
+one rule that adds clauses), and only a change queues a clause or a
+variable.  At the end no clause subsumes or self-subsumes another, no
+unfrozen variable is pure, and no unfrozen variable within the two
+elimination limits passes the resolvent bound.
 
 Each simplification except (self-)subsumption changes the *model set* of
 the formula, so every eliminating step pushes an entry onto a
@@ -24,12 +44,13 @@ returns a model of the original CNF — which is what lets the pipeline's
 countermodel decode (and the fuzzer's countermodel validation) keep
 working with preprocessing enabled.
 
-Everything in here — clause db, occurrence lists, signatures, unit
-queue, reconstruction stack — operates on **packed literals** (``2v`` /
-``2v + 1``, see :mod:`repro.sat.cnf`): clauses come out of the input
-arena packed and go into the simplified arena packed, with no signed
-round-trip in between.  Negation is ``lit ^ 1`` and the variable is
-``lit >> 1`` throughout.
+Everything in here — clause db, occurrence lists (a list indexed by
+packed literal), signatures, unit queue, reconstruction stack —
+operates on **packed literals** (``2v`` / ``2v + 1``, see
+:mod:`repro.sat.cnf`): clauses come out of the input arena packed and
+go into the simplified arena packed, with no signed round-trip in
+between.  Negation is ``lit ^ 1`` and the variable is ``lit >> 1``
+throughout.
 
 Variable numbering is preserved: the simplified :class:`Cnf` has the same
 ``num_vars`` and name table as the input, eliminated variables simply no
@@ -69,8 +90,6 @@ DEFAULT_BVE_OCC_LIMIT = 10
 #: Never resolve on clauses longer than this (long resolvents are rarely
 #: worth the occurrence-list churn).
 DEFAULT_BVE_CLAUSE_LIMIT = 16
-#: Outer simplification rounds (subsume → pure → eliminate → propagate).
-DEFAULT_MAX_ROUNDS = 3
 
 
 @dataclass
@@ -93,6 +112,9 @@ class PreprocessStats:
     literals_strengthened: int = 0
     vars_eliminated: int = 0
     resolvents_added: int = 0
+    #: Clauses taken off the subsumption queue to serve as subsumers.
+    clauses_scanned: int = 0
+    #: Passes of the driver loop until the queues ran empty.
     rounds: int = 0
     seconds: float = 0.0
     status: str = UNKNOWN
@@ -153,7 +175,7 @@ class PreprocessResult:
 
 
 class _Preprocessor:
-    """One-shot occurrence-list simplifier over a clause database."""
+    """Queue-driven occurrence-list simplifier over a clause database."""
 
     def __init__(self, cnf: Cnf, frozen: Iterable[int] = ()) -> None:
         self.cnf = cnf
@@ -164,15 +186,25 @@ class _Preprocessor:
             clauses_before=len(cnf),
             literals_before=cnf.literal_count,
         )
-        # clause db (packed lits): None = deleted; occ maps packed
-        # literal -> live clause ids
+        # clause db (packed lits): None = deleted; occ[lit] holds the
+        # ids of the live clauses that contain packed literal ``lit``
         self.clauses: List[Optional[List[int]]] = []
         self.sigs: List[int] = []
-        self.occ: Dict[int, Set[int]] = {}
+        self.occ: List[Set[int]] = [set() for _ in range(2 * self.nvars + 2)]
         self.assignment: Dict[int, bool] = {}
         self.units: deque = deque()
         self.stack: List[Tuple[int, List[List[int]]]] = []
         self.contradiction = False
+        # Subsumers still to run: clauses that entered the db or lost a
+        # literal since they last served as one.
+        self.queue: List[int] = []
+        self.queued: Set[int] = set()
+        # Resolvents not yet checked against the clauses that could
+        # subsume or strengthen them.
+        self.resolvents: List[int] = []
+        # Variables whose occurrence lists changed since their last
+        # pure-literal and elimination check.
+        self.touched: Set[int] = set()
 
     # -- clause db plumbing -------------------------------------------------
 
@@ -183,8 +215,45 @@ class _Preprocessor:
             sig |= 1 << ((lit >> 1) & 63)
         return sig
 
+    def _ingest(self) -> None:
+        """Load the input clauses; every one is queued as a subsumer and
+        every variable is due for its first check."""
+        clauses = self.clauses
+        sigs = self.sigs
+        occ = self.occ
+        arena, starts = self.cnf.packed_arrays()
+        flat = arena.tolist()
+        for start, end in zip(starts, starts[1:]):
+            lits = flat[start:end]
+            if len(lits) > 1 and len({lit >> 1 for lit in lits}) == len(lits):
+                # Fast path: distinct variables, so no duplicate literal
+                # and no tautology.
+                ci = len(clauses)
+                clauses.append(lits)
+                sig = 0
+                for lit in lits:
+                    sig |= 1 << ((lit >> 1) & 63)
+                    occ[lit].add(ci)
+                sigs.append(sig)
+                continue
+            seen: Set[int] = set()
+            deduped: List[int] = []
+            for lit in lits:
+                if lit ^ 1 in seen:
+                    break  # tautology
+                if lit not in seen:
+                    seen.add(lit)
+                    deduped.append(lit)
+            else:
+                self._add_clause(deduped)
+                if self.contradiction:
+                    return
+        self.queue = [ci for ci, c in enumerate(clauses) if c is not None]
+        self.queued = set(self.queue)
+        self.touched = set(range(1, self.nvars + 1))
+
     def _add_clause(self, clause: List[int]) -> None:
-        """Insert an already-deduplicated, tautology-free clause."""
+        """Insert a deduplicated, tautology-free clause as a subsumer."""
         if not clause:
             self.contradiction = True
             return
@@ -194,38 +263,48 @@ class _Preprocessor:
         ci = len(self.clauses)
         self.clauses.append(clause)
         self.sigs.append(self._sig(clause))
+        occ = self.occ
+        touched = self.touched
         for lit in clause:
-            self.occ.setdefault(lit, set()).add(ci)
+            occ[lit].add(ci)
+            touched.add(lit >> 1)
+        self.queue.append(ci)
+        self.queued.add(ci)
 
     def _remove_clause(self, ci: int) -> None:
         clause = self.clauses[ci]
         if clause is None:
             return
+        occ = self.occ
+        touched = self.touched
         for lit in clause:
-            occ = self.occ.get(lit)
-            if occ is not None:
-                occ.discard(ci)
+            occ[lit].discard(ci)
+            touched.add(lit >> 1)
         self.clauses[ci] = None
 
     def _strengthen(self, ci: int, lit: int) -> None:
         """Remove ``lit`` from clause ``ci`` (it is falsified or resolved
-        away); cascades into the unit queue when one literal remains."""
+        away); cascades into the unit queue when one literal remains,
+        and otherwise queues the shorter clause as a subsumer."""
         clause = self.clauses[ci]
         if clause is None:
             return
         clause.remove(lit)
-        occ = self.occ.get(lit)
-        if occ is not None:
-            occ.discard(ci)
-        if not clause:
-            self.contradiction = True
-            return
+        self.occ[lit].discard(ci)
+        touched = self.touched
+        touched.add(lit >> 1)
         if len(clause) == 1:
             unit = clause[0]
             self._remove_clause(ci)
             self._enqueue(unit)
             return
+        # A shorter clause may now fit the elimination width limit.
+        for other in clause:
+            touched.add(other >> 1)
         self.sigs[ci] = self._sig(clause)
+        if ci not in self.queued:
+            self.queued.add(ci)
+            self.queue.append(ci)
 
     # -- unit propagation ---------------------------------------------------
 
@@ -241,20 +320,26 @@ class _Preprocessor:
         elif current != want:
             self.contradiction = True
 
-    def _propagate(self) -> None:
-        while self.units and not self.contradiction:
-            lit = self.units.popleft()
-            for ci in list(self.occ.get(lit, ())):
-                self._remove_clause(ci)
+    def _propagate(self) -> None:  # repro: hot-loop
+        units = self.units
+        occ = self.occ
+        remove_clause = self._remove_clause
+        strengthen = self._strengthen
+        while units and not self.contradiction:
+            lit = units.popleft()
+            satisfied = occ[lit]
+            while satisfied:
+                remove_clause(satisfied.pop())
             neg = lit ^ 1
-            for ci in list(self.occ.get(neg, ())):
-                self._strengthen(ci, neg)
+            falsified = occ[neg]
+            while falsified:
+                strengthen(falsified.pop(), neg)
 
     # -- pure literals ------------------------------------------------------
 
-    def _pure_pass(self) -> bool:
-        changed = False
-        for var in range(1, self.nvars + 1):
+    def _pure_pass(self, variables: List[int]) -> None:
+        occ = self.occ
+        for var in variables:
             # Reconstruction replays the stack in reverse, so an entry
             # pushed here must never mention a variable whose unit entry
             # is already on the stack: drain pending units first so
@@ -265,90 +350,131 @@ class _Preprocessor:
                 break
             if var in self.assignment or var in self.frozen:
                 continue
-            pos = self.occ.get(var << 1)
-            neg = self.occ.get((var << 1) | 1)
+            pos = occ[var << 1]
+            neg = occ[(var << 1) | 1]
             if pos and not neg:
                 lit = var << 1
             elif neg and not pos:
                 lit = (var << 1) | 1
             else:
                 continue
-            removed = [list(self.clauses[ci]) for ci in self.occ[lit]]
+            removed = [list(self.clauses[ci]) for ci in occ[lit]]
             self.stack.append((lit, removed))
-            for ci in list(self.occ[lit]):
+            for ci in list(occ[lit]):
                 self._remove_clause(ci)
             self.stats.pure_literals += 1
-            changed = True
-        return changed
 
     # -- subsumption and self-subsuming resolution --------------------------
 
-    def _subsumption_pass(self) -> bool:
-        changed = False
-        order = sorted(
-            (ci for ci, c in enumerate(self.clauses) if c is not None),
-            key=lambda ci: len(self.clauses[ci]),
-        )
-        for ci in order:
-            if self.clauses[ci] is None:
-                continue
-            if self._backward_subsume(ci):
-                changed = True
-            if self.contradiction:
-                break
-        return changed
+    def _subsume_queue(self) -> None:
+        """Check the new resolvents that survived, then run every queued
+        clause as a subsumer, shortest first, until the queue is empty."""
+        clauses = self.clauses
+        subsumed = strengthened = 0
+        for ci in self.resolvents:
+            while clauses[ci] is not None and not self.contradiction:
+                flipped = self._forward_match(ci)
+                if flipped is None:
+                    break
+                if flipped == 0:
+                    self._remove_clause(ci)
+                    subsumed += 1
+                else:
+                    self._strengthen(ci, flipped)
+                    strengthened += 1
+        self.resolvents = []
+        self.stats.clauses_subsumed += subsumed
+        self.stats.literals_strengthened += strengthened
+        queued = self.queued
+        scanned = 0
+        while self.queue and not self.contradiction:
+            batch = [ci for ci in self.queue if clauses[ci] is not None]
+            self.queue = []
+            batch.sort(key=lambda ci: len(clauses[ci]))
+            for ci in batch:
+                queued.discard(ci)
+                if clauses[ci] is None:
+                    continue
+                scanned += 1
+                self._backward_subsume(ci)
+                if self.contradiction:
+                    break
+        self.stats.clauses_scanned += scanned
 
-    def _backward_subsume(self, ci: int) -> bool:
+    def _backward_subsume(self, ci: int) -> None:  # repro: hot-loop
         """Remove or strengthen every clause subsumed by clause ``ci``."""
-        clause = self.clauses[ci]
-        sig = self.sigs[ci]
+        clauses = self.clauses
+        sigs = self.sigs
+        occ = self.occ
+        clause = clauses[ci]
+        sig = sigs[ci]
         length = len(clause)
         # Scan candidates through the least-occurring literal; a clause
         # subsumed (even after one flip) must contain every literal of
         # ``clause`` except possibly one flipped — in particular ``best``
         # or ``best ^ 1``.
-        best = min(
-            clause,
-            key=lambda l: len(self.occ.get(l, ()))
-            + len(self.occ.get(l ^ 1, ())),
-        )
-        candidates = set(self.occ.get(best, ()))
-        candidates |= self.occ.get(best ^ 1, set())
-        changed = False
-        for cj in list(candidates):
-            if cj == ci:
+        best = clause[0]
+        fewest = len(occ[best]) + len(occ[best ^ 1])
+        for lit in clause:
+            count = len(occ[lit]) + len(occ[lit ^ 1])
+            if count < fewest:
+                best = lit
+                fewest = count
+        candidates = list(occ[best])
+        candidates.extend(occ[best ^ 1])
+        subsumed = strengthened = 0
+        for cj in candidates:
+            if sig & ~sigs[cj] or cj == ci:
                 continue
-            other = self.clauses[cj]
+            other = clauses[cj]
             if other is None or len(other) < length:
-                continue
-            if sig & ~self.sigs[cj]:
                 continue
             flipped = self._subsumes(clause, other)
             if flipped is None:
                 continue
             if flipped == 0:
                 self._remove_clause(cj)
-                self.stats.clauses_subsumed += 1
+                subsumed += 1
             else:
                 self._strengthen(cj, flipped)
-                self.stats.literals_strengthened += 1
-            changed = True
-            if self.contradiction:
-                break
-        return changed
+                strengthened += 1
+        self.stats.clauses_subsumed += subsumed
+        self.stats.literals_strengthened += strengthened
+
+    def _forward_match(self, ci: int) -> Optional[int]:  # repro: hot-loop
+        """How the first clause found to subsume or self-subsume clause
+        ``ci`` acts on it, in :meth:`_subsumes`'s terms, or None.  Such
+        a clause shares a literal with ``ci``, so the occurrence lists
+        of ``ci``'s literals hold every one."""
+        clauses = self.clauses
+        sigs = self.sigs
+        occ = self.occ
+        clause = clauses[ci]
+        outside = ~sigs[ci]
+        length = len(clause)
+        for lit in clause:
+            for cj in occ[lit]:
+                if sigs[cj] & outside or cj == ci:
+                    continue
+                other = clauses[cj]
+                if len(other) > length:
+                    continue
+                flipped = self._subsumes(other, clause)
+                if flipped is not None:
+                    return flipped
+        return None
 
     @staticmethod
     def _subsumes(small: List[int], big: List[int]) -> Optional[int]:
         """``0`` if ``small ⊆ big``; the literal of ``big`` to strike if
         exactly one literal matches flipped (self-subsumption); ``None``
-        otherwise.  (Packed literals are never 0, so 0 is a safe
-        "plain subsumption" sentinel.)"""
-        big_set = set(big)
+        otherwise.  (Packed literals are never 0, so 0 is a safe "plain
+        subsumption" sentinel.)"""
         flipped = 0
         for lit in small:
-            if lit in big_set:
+            if lit in big:
                 continue
-            if flipped == 0 and lit ^ 1 in big_set:
+            if flipped == 0 and lit ^ 1 in big:
                 flipped = lit ^ 1
                 continue
             return None
@@ -356,9 +482,9 @@ class _Preprocessor:
 
     # -- bounded variable elimination ---------------------------------------
 
-    def _bve_pass(self) -> bool:
-        changed = False
-        for var in range(1, self.nvars + 1):
+    def _bve_pass(self, variables: List[int]) -> None:
+        occ = self.occ
+        for var in variables:
             # Unit resolvents from a previous elimination enqueue but do
             # not propagate; drain them before snapshotting clauses into
             # the reconstruction stack (see _pure_pass).
@@ -368,8 +494,8 @@ class _Preprocessor:
                 break
             if var in self.assignment or var in self.frozen:
                 continue
-            pos = self.occ.get(var << 1)
-            neg = self.occ.get((var << 1) | 1)
+            pos = occ[var << 1]
+            neg = occ[(var << 1) | 1]
             if not pos or not neg:
                 continue  # absent or pure; not a resolution candidate
             if (
@@ -377,42 +503,53 @@ class _Preprocessor:
                 or len(neg) > DEFAULT_BVE_OCC_LIMIT
             ):
                 continue
-            if self._eliminate(var, sorted(pos), sorted(neg)):
-                changed = True
-        return changed
+            self._eliminate(var, sorted(pos), sorted(neg))
 
-    def _eliminate(
-        self, var: int, pos: List[int], neg: List[int]
-    ) -> bool:
+    def _eliminate(self, var: int, pos: List[int], neg: List[int]) -> None:
         pos_cls = [self.clauses[ci] for ci in pos]
         neg_cls = [self.clauses[ci] for ci in neg]
         limit = DEFAULT_BVE_CLAUSE_LIMIT
-        if any(len(c) > limit for c in pos_cls) or any(
-            len(c) > limit for c in neg_cls
-        ):
-            return False
-        budget = len(pos) + len(neg)
+        if max(map(len, pos_cls)) > limit or max(map(len, neg_cls)) > limit:
+            return
         plit = var << 1
+        budget = len(pos) + len(neg)
+        if self._count_resolvents(pos_cls, neg_cls, plit) > budget:
+            return
         resolvents: List[List[int]] = []
         for p in pos_cls:
             pset = set(p)
             for q in neg_cls:
                 resolvent = self._resolve(p, pset, q, plit)
-                if resolvent is None:
-                    continue
-                resolvents.append(resolvent)
-                if len(resolvents) > budget:
-                    return False
+                if resolvent is not None:
+                    resolvents.append(resolvent)
         self.stack.append((plit, [list(c) for c in pos_cls]))
         for ci in pos:
             self._remove_clause(ci)
         for ci in neg:
             self._remove_clause(ci)
+        first = len(self.clauses)
         for resolvent in resolvents:
             self._add_clause(resolvent)
+        self.resolvents.extend(range(first, len(self.clauses)))
         self.stats.vars_eliminated += 1
         self.stats.resolvents_added += len(resolvents)
-        return True
+
+    @staticmethod
+    def _count_resolvents(  # repro: hot-loop
+        pos_cls: List[List[int]], neg_cls: List[List[int]], plit: int
+    ) -> int:
+        """How many non-tautological resolvents eliminating ``plit``'s
+        variable would add (none is built)."""
+        nlit = plit | 1
+        # A pair is tautological when ``p`` holds the negation of a literal
+        # of ``q`` other than the pivot.
+        negations = [{lit ^ 1 for lit in q if lit != nlit} for q in neg_cls]
+        count = 0
+        for p in pos_cls:
+            for negated in negations:
+                if negated.isdisjoint(p):
+                    count += 1
+        return count
 
     @staticmethod
     def _resolve(
@@ -433,36 +570,24 @@ class _Preprocessor:
 
     def run(self) -> PreprocessResult:
         start = time.perf_counter()
-        for lits in self.cnf.iter_packed():
-            seen: Set[int] = set()
-            deduped: List[int] = []
-            tautology = False
-            for lit in lits:
-                if lit ^ 1 in seen:
-                    tautology = True
-                    break
-                if lit not in seen:
-                    seen.add(lit)
-                    deduped.append(lit)
-            if tautology:
-                continue
-            self._add_clause(deduped)
+        self._ingest()
+        self._propagate()
+        # Every change removes a variable, a clause or a literal, and
+        # only a change queues a clause or touches a variable, so the
+        # queues drain and the loop ends at a fixpoint of all rules.
+        rounds = 0
+        while not self.contradiction and (self.queue or self.touched):
+            rounds += 1
+            self._subsume_queue()
+            self._propagate()
             if self.contradiction:
                 break
-        self._propagate()
-
-        rounds = 0
-        while not self.contradiction and rounds < DEFAULT_MAX_ROUNDS:
-            rounds += 1
-            changed = self._subsumption_pass()
-            self._propagate()
+            variables = sorted(self.touched)
+            self.touched.clear()
+            self._pure_pass(variables)
             if not self.contradiction:
-                changed |= self._pure_pass()
-            if not self.contradiction:
-                changed |= self._bve_pass()
+                self._bve_pass(variables)
             self._propagate()
-            if not changed:
-                break
         self.stats.rounds = rounds
         self.stats.seconds = time.perf_counter() - start
         return self._build_result()

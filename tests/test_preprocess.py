@@ -2,19 +2,23 @@
 
 Each simplification rule gets a targeted unit test, the model
 reconstruction stack is checked both directly and through the full
-eager pipeline, and a randomized property test cross-checks
+eager pipeline, a randomized property test cross-checks
 equisatisfiability plus reconstructed-model validity against the plain
-CDCL solver.
+CDCL solver, and the fixpoint tests check that no rule still applies
+to the simplified CNF.
 """
 
 import random
+from collections import defaultdict
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from repro.logic import builders as b
 from repro.sat.cnf import Cnf
 from repro.sat.preprocess import (
-    DEFAULT_MAX_ROUNDS,
+    DEFAULT_BVE_CLAUSE_LIMIT,
+    DEFAULT_BVE_OCC_LIMIT,
     PreprocessResult,
     preprocess_cnf,
 )
@@ -35,6 +39,50 @@ def assert_model_satisfies(cnf, model):
         assert any(
             (lit > 0) == model.get(abs(lit), False) for lit in clause
         ), "clause %r unsatisfied by %r" % (clause, model)
+
+
+def fixpoint_violations(pre, frozen):
+    """What the rules could still do to ``pre.simplified``: the clause
+    pairs where the first subsumes or self-subsumes the second, the
+    unfrozen pure variables, and the unfrozen variables within both
+    elimination limits whose resolvents fit the bound."""
+    clauses = [frozenset(clause) for clause in pre.simplified.clauses]
+    occ = defaultdict(list)
+    for index, clause in enumerate(clauses):
+        for lit in clause:
+            occ[lit].append(index)
+    pairs = []
+    for i, small in enumerate(clauses):
+        lit = min(small)
+        # A clause that ``small`` (self-)subsumes holds ``lit`` or -lit.
+        for j in occ[lit] + occ[-lit]:
+            missing = small - clauses[j]
+            if j != i and (
+                not missing
+                or (len(missing) == 1 and -min(missing) in clauses[j])
+            ):
+                pairs.append((sorted(small), sorted(clauses[j])))
+    variables = sorted({abs(lit) for lit in occ} - set(frozen))
+    pure = [var for var in variables if not occ[var] or not occ[-var]]
+    eliminable = []
+    for var in variables:
+        pos = [clauses[i] for i in occ[var]]
+        neg = [clauses[i] for i in occ[-var]]
+        if not pos or not neg:
+            continue
+        if max(len(pos), len(neg)) > DEFAULT_BVE_OCC_LIMIT:
+            continue
+        if max(len(c) for c in pos + neg) > DEFAULT_BVE_CLAUSE_LIMIT:
+            continue
+        resolvents = sum(
+            1
+            for p in pos
+            for q in neg
+            if not any(-lit in p for lit in q if lit != -var)
+        )
+        if resolvents <= len(pos) + len(neg):
+            eliminable.append(var)
+    return pairs, pure, eliminable
 
 
 def solve_and_reconstruct(cnf):
@@ -195,7 +243,6 @@ class TestStatsAndResult:
         assert stats.literals_before == 7
         assert stats.clauses_after <= stats.clauses_before
         assert stats.rounds >= 1
-        assert stats.rounds <= DEFAULT_MAX_ROUNDS
         assert stats.seconds >= 0.0
 
     def test_result_shares_variable_numbering(self):
@@ -279,12 +326,19 @@ class TestPipelineIntegration:
                     # input formula, exactly like the raw one.
                     assert not evaluate(formula, with_pre.counterexample)
 
-    def test_preprocess_stage_recorded(self):
-        from repro.engine import registry
+    def test_preprocess_stage_recorded(self, monkeypatch):
+        from repro.benchgen.suite import benchmark_by_name
+        from repro.engine import registry, stages
         from repro.engine.contract import SolveRequest
 
-        x, y = b.const("x"), b.const("y")
-        formula = b.implies(b.eq(x, y), b.eq(y, x))
+        results = []
+
+        def recording(cnf, frozen=()):
+            results.append(preprocess_cnf(cnf, frozen))
+            return results[-1]
+
+        monkeypatch.setattr(stages, "preprocess_cnf", recording)
+        formula = benchmark_by_name("driver_s3_1", valid=False).formula
         outcome = registry.get("hybrid").solve(SolveRequest(formula=formula))
         names = [record.name for record in outcome.stages]
         assert "preprocess" in names
@@ -292,6 +346,13 @@ class TestPipelineIntegration:
         assert record.counters["clauses_before"] >= record.counters[
             "clauses_after"
         ]
+        # The work counters show how much the stage did.
+        (pre,) = results
+        assert record.counters["rounds"] == pre.stats.rounds >= 1
+        assert record.counters["clauses_scanned"] == (
+            pre.stats.clauses_scanned
+        )
+        assert pre.stats.clauses_scanned >= 1
 
     def test_no_preprocess_skips_stage(self):
         from repro.engine import registry
@@ -370,3 +431,63 @@ class TestFrozenVariables:
             assert result.status == reference.status, "trial %d" % trial
             if result.is_sat:
                 assert_model_satisfies(original, pre.reconstruct(result.model))
+
+
+class TestFixpoint:
+    """The queues run until no rule applies to the simplified CNF."""
+
+    @settings(max_examples=200, deadline=None)
+    @given(data=st.data())
+    def test_random_cnfs_reach_the_fixpoint(self, data):
+        n = data.draw(st.integers(2, 16), label="vars")
+        literal = st.integers(1, n).flatmap(
+            lambda var: st.sampled_from([var, -var])
+        )
+        clauses = data.draw(
+            st.lists(
+                st.lists(literal, min_size=1, max_size=5),
+                min_size=1,
+                max_size=60,
+            ),
+            label="clauses",
+        )
+        frozen = data.draw(st.sets(st.integers(1, n)), label="frozen")
+        pre = preprocess_cnf(make_cnf(n, clauses), frozen=frozen)
+        if pre.status != "UNSAT":
+            assert fixpoint_violations(pre, frozen) == ([], [], [])
+
+    def test_suite_cnfs_reach_the_fixpoint(self, monkeypatch):
+        # Every CNF the eager pipeline preprocesses on the 98 suite
+        # queries under HYBRID, with the frozen set it passes.
+        from repro.benchgen.suite import suite
+        from repro.engine import registry, stages
+        from repro.engine.contract import SolveRequest
+
+        seen = []
+
+        def recording(cnf, frozen=()):
+            seen.append((preprocess_cnf(cnf, frozen), set(frozen)))
+            return seen[-1][0]
+
+        monkeypatch.setattr(stages, "preprocess_cnf", recording)
+        engine = registry.get("hybrid")
+        names = []
+        for bench in suite(valid=True) + suite(valid=False):
+            engine.solve(SolveRequest(formula=bench.formula))
+            names.append(bench.name)
+        assert len(seen) == len(names) == 98
+        for name, (pre, frozen) in zip(names, seen):
+            if pre.status != "UNSAT":
+                assert fixpoint_violations(pre, frozen) == ([], [], []), name
+
+    def test_unchanged_cnf_scans_each_clause_once(self):
+        # Every variable frozen and no clause (self-)subsuming another:
+        # no rule changes anything, so each clause serves as a subsumer
+        # exactly once and one round finds the fixpoint.
+        clauses = [[1, 2, 3], [-1, 4, 5], [-2, -4, 6], [3, -5, -6], [-3, 4, -6]]
+        pre = preprocess_cnf(make_cnf(6, clauses), frozen=range(1, 7))
+        assert TestFrozenVariables.sorted_clauses(pre.simplified) == sorted(
+            sorted(clause) for clause in clauses
+        )
+        assert pre.stats.clauses_scanned == pre.stats.clauses_before == 5
+        assert pre.stats.rounds == 1
