@@ -17,21 +17,17 @@ it returns a :class:`~repro.core.result.SolveOutcome`.  The pipeline
 itself lives in :mod:`repro.engine.stages` (each stage individually
 timed and counted); this module keeps the entry point plus the
 CNF-model and decoding helpers shared by the eager pipeline, the lazy
-and SVC baselines, and incremental sessions, and the theory step
-(:func:`theory_conflict`) of the lazy baseline's refinement loop and of
-sessions.  The eager pipeline checks its LAZY classes inside the SAT
-search instead (:class:`~repro.theory.difference.DifferenceTheory`).
+and SVC baselines, and incremental sessions.
 """
 
 from __future__ import annotations
 
-from typing import Any, Dict, List, Tuple
+from typing import Any, Dict
 
 from ..encodings.bitvector import bv_value
-from ..encodings.hybrid import EIJ, LAZY, Encoding
-from ..encodings.sepvars import SepVarRegistry
+from ..encodings.hybrid import SD, Encoding, has_eq_vars
 from ..logic.semantics import Interpretation, evaluate_term
-from ..logic.terms import BoolVar, Formula, Not
+from ..logic.terms import BoolVar, Formula
 from ..logic.traversal import (
     collect_bool_vars,
     collect_vars,
@@ -39,15 +35,13 @@ from ..logic.traversal import (
 )
 from ..sat.cnf import Cnf
 from ..separation.unionfind import DisjointSet
-from ..theory.difference import DifferenceResult, check_bounds
+from ..theory.difference import check_bounds
 from ..transform.func_elim import FuncElimInfo
 from .result import SolveOutcome
 
 __all__ = [
     "check_validity",
     "boolvar_model",
-    "dimacs_literal",
-    "theory_conflict",
     "decode_countermodel",
     "lift_countermodel",
 ]
@@ -84,31 +78,6 @@ def boolvar_model(cnf: Cnf, model: Dict[int, bool]) -> Dict[BoolVar, bool]:
     return out
 
 
-def dimacs_literal(cnf: Cnf, literal: Formula) -> int:
-    """Map a registry literal (BoolVar or its negation) to a DIMACS lit."""
-    if isinstance(literal, Not):
-        return -cnf.var_for(literal.arg)
-    return cnf.var_for(literal)
-
-
-def theory_conflict(
-    cnf: Cnf, registry: SepVarRegistry, model: Dict[BoolVar, bool]
-) -> Tuple[DifferenceResult, List[int]]:
-    """The lazy procedures' theory step on one Boolean model.
-
-    Checks the difference bounds ``model`` asserts with Bellman–Ford.
-    When they are inconsistent, the second value is the clause that
-    blocks the negative cycle: the negation of every registry literal
-    on it, as DIMACS literals of ``cnf`` (empty when consistent).
-    """
-    theory = check_bounds(registry.asserted_bounds(model))
-    clause = [
-        -dimacs_literal(cnf, registry.literal(bound.lhs, bound.rhs, bound.c))
-        for bound in theory.cycle or ()
-    ]
-    return theory, clause
-
-
 def decode_countermodel(
     encoding: Encoding, boolvar_model: Dict[BoolVar, bool]
 ) -> Interpretation:
@@ -129,26 +98,20 @@ def decode_countermodel(
     for var, bits in encoding.var_bits.items():
         values[var.name] = bv_value(bits, boolvar_model)
 
-    # EIJ classes with bounds: complete the asserted bounds per class.
-    # Equality-only classes instead partition by the true equality
-    # variables and give each group a distinct value.
-    eij_classes = [
-        vclass
-        for vclass in analysis.classes
-        if encoding.method_of_class[vclass.index] in (EIJ, LAZY)
-    ]
+    # EIJ and LAZY classes: complete the asserted bounds per class.
+    # Classes with equality variables instead partition by the true ones
+    # and give each group a distinct value.
     bound_vars = set()
-    for vclass in eij_classes:
-        if (
-            vclass.has_inequality
-            or vclass.has_offset
-            or not encoding.uses_eq_vars
-        ):
-            bound_vars.update(vclass.vars)
-        else:
+    for vclass in analysis.classes:
+        method = encoding.method_of_class[vclass.index]
+        if method == SD:
+            continue
+        if has_eq_vars(vclass, method):
             _decode_equality_class(
                 vclass, encoding.registry, boolvar_model, values
             )
+        else:
+            bound_vars.update(vclass.vars)
     if bound_vars:
         bounds = [
             b

@@ -15,7 +15,10 @@ step by step:
    every class with ``<`` or an offset to ``LAZY``: EIJ atoms and no
    transitivity clauses, whose negative cycles the search learns as
    conflict clauses (the CVC baseline's clauses, DPLL(T)-style).
-   ``paper_rule=True`` (what ``repro experiment`` runs) turns both off;
+   ``paper_rule=True`` (what ``repro experiment`` runs) turns both off.
+   Each public encoder hands the engine its own per-class choice: SD is
+   the paper's rule at threshold 0, EIJ always ``EIJ``, and the CVC
+   baseline (``encode_eij(..., transitivity=False)``) always ``LAZY``;
 3. recurse over the formula structure — Boolean connectives map to
    themselves, atoms are encoded per their class's method:
 
@@ -41,7 +44,7 @@ step by step:
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Dict, List, Optional, Tuple
+from typing import Callable, Dict, List, Optional, Tuple
 
 from ..logic.terms import (
     And,
@@ -126,6 +129,13 @@ def _equality_only(vclass: VarClass) -> bool:
     return not (vclass.has_inequality or vclass.has_offset)
 
 
+def has_eq_vars(vclass: VarClass, method: str) -> bool:
+    """Whether a class encoded by ``method`` gets one equality variable
+    per pair: an equality-only EIJ class.  Every other EIJ or LAZY class
+    splits each equality into two difference bounds."""
+    return method == EIJ and _equality_only(vclass)
+
+
 def choose_method(
     vclass: VarClass,
     sep_thold: Optional[int],
@@ -194,7 +204,6 @@ class Encoding:
     class_shift: Dict[int, int]
     p_codes: Dict[int, Dict[Var, int]]
     method_of_class: Dict[int, str]
-    uses_eq_vars: bool = True
     stats: EncodingStats = field(default_factory=EncodingStats)
 
     @property
@@ -212,26 +221,17 @@ class _HybridEngine:
     def __init__(
         self,
         analysis: SeparationAnalysis,
+        method_of: Callable[[VarClass], str],
         sep_thold: Optional[int],
         trans_budget: Optional[int],
         method_name: str,
-        generate_trans: bool = True,
-        chooser=None,
-        use_eq_vars: bool = True,
         sd_ranges: str = "uniform",
         deadline: Optional[float] = None,
-        paper_rule: bool = True,
-        lazy: bool = False,
     ) -> None:
         self.analysis = analysis
         self.sep_thold = sep_thold
         self.trans_budget = trans_budget
-        self.paper_rule = paper_rule
-        self.lazy = lazy
         self.deadline = deadline
-        self.generate_trans = generate_trans
-        self.chooser = chooser
-        self.use_eq_vars = use_eq_vars
         if sd_ranges not in ("uniform", "ascending"):
             raise ValueError(
                 "sd_ranges must be 'uniform' or 'ascending', got %r"
@@ -243,21 +243,12 @@ class _HybridEngine:
         self.class_shift: Dict[int, int] = {}
         self.class_width: Dict[int, int] = {}
         self.p_codes: Dict[int, Dict[Var, int]] = {}
-        self.method_of_class: Dict[int, str] = {}
+        self.method_of_class: Dict[int, str] = {
+            vclass.index: method_of(vclass) for vclass in analysis.classes
+        }
         self.term_bits: Dict[Tuple[int, Term], List[Formula]] = {}
         self.fmemo: Dict[Formula, Formula] = {}
         self.stats = EncodingStats(method=method_name, sep_thold=sep_thold)
-
-        for vclass in analysis.classes:
-            self.method_of_class[vclass.index] = self._choose_method(vclass)
-
-    def _choose_method(self, vclass: VarClass) -> str:
-        if self.chooser is not None:
-            return self.chooser(vclass)
-        return choose_method(
-            vclass, self.sep_thold, self.trans_budget, self.paper_rule,
-            self.lazy,
-        )
 
     # -- SD machinery ---------------------------------------------------------
 
@@ -394,8 +385,8 @@ class _HybridEngine:
         return self.registry.literal(x, y, k2 - k1 - 1)
 
     def _is_equality_only(self, vclass: Optional[VarClass]) -> bool:
-        return (
-            self.use_eq_vars and vclass is not None and _equality_only(vclass)
+        return vclass is not None and has_eq_vars(
+            vclass, self.method_of_class[vclass.index]
         )
 
     def _encode_atom_eij(self, atom: Formula) -> Formula:
@@ -465,8 +456,6 @@ class _HybridEngine:
             if method == LAZY:
                 continue
             if method == EIJ:
-                if not self.generate_trans:
-                    continue
                 tstats = TransitivityStats()
                 if self._is_equality_only(vclass):
                     clauses = generate_equality_transitivity(
@@ -520,37 +509,30 @@ class _HybridEngine:
             class_shift=self.class_shift,
             p_codes=self.p_codes,
             method_of_class=self.method_of_class,
-            uses_eq_vars=self.use_eq_vars,
             stats=stats,
         )
 
 
 def _encode(
     f_sep: Formula,
+    method_of: Callable[[VarClass], str],
     sep_thold: Optional[int],
     trans_budget: Optional[int],
     method_name: str,
     analysis: Optional[SeparationAnalysis] = None,
-    generate_trans: bool = True,
-    use_eq_vars: bool = True,
     sd_ranges: str = "uniform",
     deadline: Optional[float] = None,
-    paper_rule: bool = True,
-    lazy: bool = False,
 ) -> Encoding:
     if analysis is None:
         analysis = analyze_separation(f_sep)
     engine = _HybridEngine(
         analysis,
+        method_of,
         sep_thold,
         trans_budget,
         method_name,
-        generate_trans,
-        use_eq_vars=use_eq_vars,
         sd_ranges=sd_ranges,
         deadline=deadline,
-        paper_rule=paper_rule,
-        lazy=lazy,
     )
     return engine.encode()
 
@@ -583,13 +565,14 @@ def encode_hybrid(
     """
     return _encode(
         f_sep,
+        lambda vclass: choose_method(
+            vclass, sep_thold, trans_budget, paper_rule, lazy
+        ),
         sep_thold,
         trans_budget,
         "HYBRID",
         analysis,
         deadline=deadline,
-        paper_rule=paper_rule,
-        lazy=lazy,
     )
 
 
@@ -603,7 +586,15 @@ def encode_sd(
     ``sd_ranges="ascending"`` enables the tighter Pnueli-et-al. range
     allocation on equality-only classes (the paper's reference [12]).
     """
-    return _encode(f_sep, 0, None, "SD", analysis, sd_ranges=sd_ranges)
+    return _encode(
+        f_sep,
+        lambda vclass: choose_method(vclass, 0, None, paper_rule=True),
+        0,
+        None,
+        "SD",
+        analysis,
+        sd_ranges=sd_ranges,
+    )
 
 
 def encode_static_hybrid(
@@ -615,23 +606,15 @@ def encode_static_hybrid(
     """The CFV'02 *fixed* hybrid the paper says met with limited success:
     equalities without arithmetic use EIJ, everything else uses SD — the
     choice never looks at formula features such as SepCnt."""
-
-    def chooser(vclass: VarClass) -> str:
-        if vclass.has_inequality or vclass.has_offset:
-            return SD
-        return EIJ
-
-    if analysis is None:
-        analysis = analyze_separation(f_sep)
-    engine = _HybridEngine(
-        analysis,
+    return _encode(
+        f_sep,
+        lambda vclass: EIJ if _equality_only(vclass) else SD,
         None,
         trans_budget,
         "STATIC",
-        chooser=chooser,
+        analysis,
         deadline=deadline,
     )
-    return engine.encode()
 
 
 def encode_eij(
@@ -643,18 +626,17 @@ def encode_eij(
 ) -> Encoding:
     """Pure per-constraint encoding (HYBRID with infinite ``SEP_THOLD``).
 
-    ``transitivity=False`` skips F_trans generation entirely; the lazy
-    (CVC-style) solver uses this and enforces consistency by refinement —
-    in that mode every equality splits into difference bounds (no
-    dedicated equality variables) so the theory core sees all constraints.
+    ``transitivity=False`` makes every class LAZY: EIJ atoms, every
+    equality split into difference bounds, and no ``F_trans``.  The lazy
+    (CVC-style) solver encodes so and enforces consistency by refinement.
     """
+    method = EIJ if transitivity else LAZY
     return _encode(
         f_sep,
+        lambda vclass: method,
         None,
         trans_budget,
         "EIJ",
         analysis,
-        generate_trans=transitivity,
-        use_eq_vars=transitivity,
         deadline=deadline,
     )

@@ -151,7 +151,7 @@ class SepVarRegistry:
     def var_count(self) -> int:
         return len(self._bound_of)
 
-    def cnf_var_ids(self, cnf: "object", eq_vars: bool = True) -> List[int]:
+    def cnf_var_ids(self, cnf: "object") -> List[int]:
         """CNF variable ids of the registry's EIJ/equality variables.
 
         ``cnf`` is a :class:`repro.sat.cnf.Cnf` built from a formula over
@@ -160,20 +160,35 @@ class SepVarRegistry:
         result is exactly the separation predicates that survived into
         the clause database — the preferred cube-splitting points for
         cube-and-conquer (paper §4: SepCnt counts these case splits).
-        ``eq_vars=False`` leaves out the equality variables: the rest
-        are the difference-bound variables lazy refinement reads.  The
-        order is deterministic (sorted ids).
+        The order is deterministic (sorted ids).
         """
         lookup = getattr(cnf, "lookup")
         ids: Set[int] = set()
-        names = list(self._bound_of)
-        if eq_vars:
-            names += list(self._eq_pair_of)
-        for var in names:
+        for var in list(self._bound_of) + list(self._eq_pair_of):
             cnf_id = lookup(var)
             if cnf_id is not None:
                 ids.add(cnf_id)
         return sorted(ids)
+
+    def cnf_bounds(
+        self, cnf: "object", among: Optional[Set[Var]] = None
+    ) -> Dict[int, Bound]:
+        """The bound each difference-bound variable in ``cnf`` asserts.
+
+        Keys are CNF variable ids, as a
+        :class:`~repro.theory.difference.DifferenceTheory` takes them;
+        variables ``cnf`` does not hold are skipped.  ``among``, when
+        given, keeps only the bounds over those constants.
+        """
+        lookup = getattr(cnf, "lookup")
+        atoms: Dict[int, Bound] = {}
+        for var, bound in self._bound_of.items():
+            if among is not None and bound.lhs not in among:
+                continue
+            cnf_id = lookup(var)
+            if cnf_id is not None:
+                atoms[cnf_id] = bound
+        return atoms
 
     # -- model decoding -------------------------------------------------------
 

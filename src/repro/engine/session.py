@@ -15,16 +15,17 @@ natively and incrementally:
 
 * every atom maps to difference-bound Boolean variables from one shared
   :class:`~repro.encodings.sepvars.SepVarRegistry` (the same abstraction
-  the lazy engine uses, without eager transitivity constraints);
+  as a LAZY class, without eager transitivity constraints);
 * each asserted formula is Tseitin-encoded *once* into a growing CNF,
   guarded by a fresh **selector variable** (``selector → formula``);
-* ``check_sat`` activates the live assertions' selectors as solver
-  assumptions (:meth:`~repro.sat.solver.CdclSolver.solve_under_assumptions`)
-  and runs the lazy theory-refinement loop: a propositional model's
-  asserted bounds are checked with Bellman–Ford, and each negative cycle
-  becomes a conflict clause.  Refinement lemmas are valid
-  difference-logic facts, so they are added *unguarded* and deliberately
-  outlive every push/pop — exactly like retained learned clauses;
+* the solver carries a difference-logic theory over every registry
+  bound in the CNF (:class:`~repro.theory.difference.DifferenceTheory`,
+  rebuilt whenever the CNF grows), so a check is one
+  :meth:`~repro.sat.solver.CdclSolver.solve_under_assumptions` call over
+  the live assertions' selectors, and a SAT model's bounds are
+  consistent.  The theory's lemmas (negative cycles) are learned
+  clauses: valid difference-logic facts that depend on no selector, so
+  they outlive every push/pop like any other learned clause;
 * an UNSAT answer's assumption core maps selector literals back to the
   asserted formulas: :meth:`Session.last_core` is a sound unsat core
   (re-asserting only the core formulas stays unsatisfiable).
@@ -51,7 +52,7 @@ import time
 from dataclasses import dataclass, field
 from typing import TYPE_CHECKING, Dict, List, Optional, Sequence, Tuple
 
-from ..core.decision import boolvar_model, theory_conflict
+from ..core.decision import boolvar_model
 from ..core.status import Status
 from ..encodings.sepvars import SepVarRegistry
 from ..logic.canonical import CanonicalForm, canonicalize, lift_interpretation
@@ -76,8 +77,9 @@ from ..logic.terms import (
 )
 from ..logic.traversal import collect_bool_vars, collect_vars, postorder
 from ..sat.cnf import Cnf
-from ..sat.solver import CdclSolver, SatResult
+from ..sat.solver import CdclSolver
 from ..sat.tseitin import tseitin
+from ..theory.difference import DifferenceTheory, check_bounds
 from .contract import SolveRequest
 
 if TYPE_CHECKING:  # deferred to dodge the service ↔ engine import cycle
@@ -96,9 +98,6 @@ __all__ = [
 SAT = "sat"
 UNSAT = "unsat"
 UNKNOWN = "unknown"
-
-#: Safety valve on the theory-refinement loop of one check.
-MAX_REFINEMENTS = 100_000
 
 
 class SessionError(Exception):
@@ -148,7 +147,7 @@ class CheckResult:
 
 
 class _IncrementalBackend:
-    """Selector-guarded incremental abstraction-refinement core.
+    """Selector-guarded incremental core with an in-search bounds check.
 
     One growing CNF, one growing solver, one shared atom registry and
     Tseitin memo.  Encodings are permanent: popping an assertion merely
@@ -165,7 +164,6 @@ class _IncrementalBackend:
         self._abstract_memo: Dict[Formula, Formula] = {}
         self._selectors: Dict[Formula, int] = {}
         self._by_selector: Dict[int, Formula] = {}
-        self.theory_lemmas = 0
 
     # -- encoding ------------------------------------------------------------
 
@@ -236,17 +234,29 @@ class _IncrementalBackend:
             self._cnf.add_packed_clause([(sel << 1) | 1, root])
             self._selectors[formula] = sel
             self._by_selector[sel] = formula
-            self._sync()
         return sel
 
     def _sync(self) -> None:
         """Feed CNF growth (new vars and clauses) into the live solver.
 
         Bulk-attaches straight from the packed arena: no signed clause
-        lists are materialized on the incremental path.
+        lists are materialized on the incremental path.  The theory is
+        rebuilt over every registry bound now in the CNF; the solver is
+        at the root level, so the new one reads the trail from its start.
         """
-        self._solver.attach_from(self._cnf, self._fed_clauses)
+        if self._fed_clauses == len(self._cnf):
+            return
+        solver = self._solver
+        solver.attach_from(self._cnf, self._fed_clauses)
         self._fed_clauses = len(self._cnf)
+        solver.theory = DifferenceTheory(
+            self._cnf.num_vars, self._registry.cnf_bounds(self._cnf)
+        )
+
+    @property
+    def theory_conflicts(self) -> int:
+        """Negative cycles the search has learned over the session."""
+        return self._solver.stats.theory_conflicts
 
     # -- checking ------------------------------------------------------------
 
@@ -279,36 +289,22 @@ class _IncrementalBackend:
         when any assertion falls outside the separation fragment.
         """
         sels = [self._selector(f) for f in assertions]
-        start = time.perf_counter()
+        self._sync()
         solver = self._solver
-        for _ in range(MAX_REFINEMENTS):
-            if time_limit is not None:
-                remaining = time_limit - (time.perf_counter() - start)
-                if remaining <= 0:
-                    return UNKNOWN, None, None
-                solver.time_limit = remaining
-            else:
-                solver.time_limit = None
-            result: SatResult = solver.solve_under_assumptions(sels)
-            if result.status == "UNKNOWN":
-                return UNKNOWN, None, None
-            if result.is_unsat:
-                return UNSAT, None, self._core_formulas(result.core)
-            bool_model = boolvar_model(self._cnf, result.model or {})
-            theory, clause = theory_conflict(
-                self._cnf, self._registry, bool_model
+        solver.time_limit = time_limit
+        result = solver.solve_under_assumptions(sels)
+        if result.is_unsat:
+            return UNSAT, None, self._core_formulas(result.core)
+        if not result.is_sat:
+            return UNKNOWN, None, None
+        bool_model = boolvar_model(self._cnf, result.model)
+        values = check_bounds(self._registry.asserted_bounds(bool_model))
+        if not values.consistent:
+            raise AssertionError(
+                "the in-search theory passed inconsistent bounds"
             )
-            if theory.consistent:
-                interp = self._build_model(
-                    assertions, bool_model, theory.model or {}
-                )
-                return SAT, interp, None
-            # Refine: the negative cycle becomes an unguarded conflict
-            # clause — a valid theory lemma, safe to retain forever.
-            self._cnf.add_clause(clause)
-            self._sync()
-            self.theory_lemmas += 1
-        return UNKNOWN, None, None
+        model = self._build_model(assertions, bool_model, values.model or {})
+        return SAT, model, None
 
     def _core_formulas(
         self, core: Optional[List[int]]
@@ -506,7 +502,7 @@ class Session:
             )
             backend = "incremental"
             self.stats.incremental_checks += 1
-            self.stats.theory_lemmas = self._backend.theory_lemmas
+            self.stats.theory_lemmas = self._backend.theory_conflicts
         except _Unsupported:
             status, model, core = self._check_via_engine(
                 query, active, time_limit

@@ -27,7 +27,7 @@ theory sees every bound a model asserts.
 from __future__ import annotations
 
 import time
-from typing import Any, Callable, Dict, List, Optional, Set
+from typing import Any, Callable, List, Optional, Set
 
 from ..core.decision import (
     boolvar_model,
@@ -49,7 +49,6 @@ from ..encodings.hybrid import (
     encode_sd,
     encode_static_hybrid,
 )
-from ..encodings.sepvars import Bound
 from ..encodings.transitivity import TransitivityBudgetExceeded
 from ..logic.semantics import evaluate
 from ..logic.terms import Var
@@ -194,7 +193,7 @@ def run_eager(
         with clock.stage("preprocess") as rec:
             # The theory reads every bound a model asserts: freeze them.
             frozen = (
-                encoding.registry.cnf_var_ids(cnf, eq_vars=False)
+                encoding.registry.cnf_bounds(cnf)
                 if encoding.stats.lazy_classes
                 else ()
             )
@@ -270,11 +269,6 @@ def _lazy_theory(encoding: Encoding, cnf: Any) -> Optional[DifferenceTheory]:
             among.update(vclass.vars)
     if not among:
         return None
-    registry = encoding.registry
-    atoms: Dict[int, Bound] = {}
-    for var in registry.all_vars():
-        bound = registry.bound_of(var)
-        cnf_id = cnf.lookup(var)
-        if bound is not None and bound.lhs in among and cnf_id is not None:
-            atoms[cnf_id] = bound
-    return DifferenceTheory(cnf.num_vars, atoms)
+    return DifferenceTheory(
+        cnf.num_vars, encoding.registry.cnf_bounds(cnf, among)
+    )

@@ -7,7 +7,8 @@ with the reference semantics.  Every other solver is tested against this
 one.
 
 Domain sufficiency argument (separation logic): let ``n`` be the number of
-symbolic constants and ``s`` the largest ``|offset|`` in the formula.  Any
+symbolic constants and ``s`` the largest ``|offset|`` in the formula once
+its offsets are pushed to the leaves (through every ITE).  Any
 integer model can be *compressed* — sort the values; a gap larger than
 ``2s + 1`` between adjacent values can be shrunk to exactly ``2s + 1``
 without changing the truth of any atom ``x + k1 ⋈ y + k2`` (the offsets can
@@ -29,6 +30,7 @@ from ..logic.traversal import (
     max_offset_magnitude,
 )
 from ..transform.func_elim import eliminate_applications
+from ..transform.ground import push_offsets
 
 __all__ = [
     "BruteForceLimitExceeded",
@@ -44,9 +46,13 @@ class BruteForceLimitExceeded(Exception):
 
 
 def sep_domain_bound(f_sep: Formula) -> int:
-    """Sufficient domain size ``D`` (values ``0..D-1``) for ``f_sep``."""
+    """Sufficient domain size ``D`` (values ``0..D-1``) for ``f_sep``.
+
+    ``s`` is read after pushing offsets to the leaves: offsets add up
+    through an ITE, so ``(ite c (+ y -2) x) + -2`` compares ``y - 4``.
+    """
     n = len(collect_vars(f_sep))
-    s = max_offset_magnitude(f_sep)
+    s = max_offset_magnitude(push_offsets(f_sep))
     if n == 0:
         return 1
     return (n - 1) * (2 * s + 1) + 1

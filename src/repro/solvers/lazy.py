@@ -25,35 +25,62 @@ Faithful-to-the-original choices:
   "CVC tries to add conflict clauses that involve the smallest possible
   subset of literals from the satisfying assignment".
 
-HYBRID's LAZY classes get the same conflict clauses without the loop:
-the eager pipeline checks their bounds inside its one SAT search
-(:mod:`repro.engine.stages`).
+The encoding is ``encode_eij(..., transitivity=False)``: every class
+LAZY.  HYBRID's LAZY classes and incremental sessions get the same
+conflict clauses without the loop: their one SAT search checks the
+bounds as it assigns them
+(:class:`~repro.theory.difference.DifferenceTheory`).
 """
 
 from __future__ import annotations
 
 import time
-from typing import Any, MutableMapping, Optional
+from typing import Any, Dict, List, MutableMapping, Optional, Tuple
 
 from ..core.decision import (
     boolvar_model,
     decode_countermodel,
     lift_countermodel,
-    theory_conflict,
 )
 from ..core.result import DecisionStats, SolveOutcome, StageClock
 from ..core.status import Status
 from ..encodings.hybrid import encode_eij
 from ..encodings.sepvars import SepVarRegistry
-from ..logic.terms import Formula
+from ..logic.terms import BoolVar, Formula, Not
 from ..logic.traversal import dag_size
 from ..sat.cnf import Cnf
 from ..sat.solver import UNKNOWN, CdclSolver, SatResult, SatStats
 from ..sat.tseitin import to_cnf
 from ..separation.analysis import analyze_separation
+from ..theory.difference import DifferenceResult, check_bounds
 from ..transform.func_elim import eliminate_applications
 
 __all__ = ["check_validity_lazy", "refine"]
+
+
+def dimacs_literal(cnf: Cnf, literal: Formula) -> int:
+    """Map a registry literal (BoolVar or its negation) to a DIMACS lit."""
+    if isinstance(literal, Not):
+        return -cnf.var_for(literal.arg)
+    return cnf.var_for(literal)
+
+
+def theory_conflict(
+    cnf: Cnf, registry: SepVarRegistry, model: Dict[BoolVar, bool]
+) -> Tuple[DifferenceResult, List[int]]:
+    """The CVC loop's theory step on one Boolean model.
+
+    Checks the difference bounds ``model`` asserts with Bellman–Ford.
+    When they are inconsistent, the second value is the clause that
+    blocks the negative cycle: the negation of every registry literal
+    on it, as DIMACS literals of ``cnf`` (empty when consistent).
+    """
+    theory = check_bounds(registry.asserted_bounds(model))
+    clause = [
+        -dimacs_literal(cnf, registry.literal(bound.lhs, bound.rhs, bound.c))
+        for bound in theory.cycle or ()
+    ]
+    return theory, clause
 
 
 def refine(

@@ -3,7 +3,6 @@
 from .congruence import CongruenceClosure
 from .difference import (
     DifferenceResult,
-    DifferenceSolver,
     DifferenceTheory,
     check_bounds,
 )
@@ -11,7 +10,6 @@ from .difference import (
 __all__ = [
     "CongruenceClosure",
     "DifferenceResult",
-    "DifferenceSolver",
     "DifferenceTheory",
     "check_bounds",
 ]

@@ -11,8 +11,9 @@ This is the theory core that
 * decodes integer counterexamples from EIJ SAT models,
 * drives the lazy (CVC-style) procedure's refinement loop, where the
   negative-cycle explanation becomes a conflict clause,
-* checks HYBRID's LAZY classes inside the SAT search
-  (:class:`DifferenceTheory`, the incremental form of the same test), and
+* checks HYBRID's LAZY classes and incremental sessions' bounds inside
+  the SAT search (:class:`DifferenceTheory`, the incremental form of the
+  same test), and
 * serves as the SVC-style solver's fast conjunction decision (the paper:
   "deciding a conjunction of separation predicates can be reduced to a
   shortest-path problem").
@@ -21,7 +22,7 @@ This is the theory core that
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Dict, Iterable, List, Mapping, Optional, Sequence, Tuple
+from typing import Dict, List, Mapping, Optional, Sequence, Tuple
 
 from ..encodings.sepvars import Bound
 from ..logic.terms import Var
@@ -29,7 +30,6 @@ from ..logic.terms import Var
 __all__ = [
     "DifferenceResult",
     "check_bounds",
-    "DifferenceSolver",
     "DifferenceTheory",
 ]
 
@@ -99,40 +99,6 @@ def check_bounds(bounds: Sequence[Bound]) -> DifferenceResult:
             break
     cycle.reverse()
     return DifferenceResult(consistent=False, cycle=cycle)
-
-
-class DifferenceSolver:
-    """A stack-based wrapper for case-splitting search (SVC-style).
-
-    ``push``/``pop`` maintain an assertion stack; :meth:`check` runs the
-    Bellman–Ford test over the current assertions.  (The check is not
-    incremental — each call is O(V·E) — which faithfully keeps the
-    conjunctive case cheap and the disjunctive case expensive, the paper's
-    observed SVC behaviour.)
-    """
-
-    def __init__(self) -> None:
-        self._stack: List[List[Bound]] = [[]]
-
-    def push(self) -> None:
-        self._stack.append([])
-
-    def pop(self) -> None:
-        if len(self._stack) == 1:
-            raise IndexError("pop on empty assertion stack")
-        self._stack.pop()
-
-    def assert_bound(self, bound: Bound) -> None:
-        self._stack[-1].append(bound)
-
-    def assert_bounds(self, bounds: Iterable[Bound]) -> None:
-        self._stack[-1].extend(bounds)
-
-    def assertions(self) -> List[Bound]:
-        return [b for frame in self._stack for b in frame]
-
-    def check(self) -> DifferenceResult:
-        return check_bounds(self.assertions())
 
 
 class DifferenceTheory:

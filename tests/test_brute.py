@@ -3,6 +3,7 @@
 import pytest
 
 from repro.logic import builders as b
+from repro.logic.parser import parse_formula
 from repro.solvers.brute import (
     BruteForceLimitExceeded,
     brute_force_countermodel_sep,
@@ -28,6 +29,19 @@ class TestDomainBound:
         formula = b.lt(b.offset(x, -2), y)
         # 2 vars, s=2: (2-1)*(5)+1 = 6.
         assert sep_domain_bound(formula) == 6
+
+    def test_offsets_add_up_through_an_ite(self):
+        # The outer -2 reaches the ITE's v1 + -2 leaf as v1 - 4: s=4,
+        # (2-1)*(9)+1 = 10.  Every countermodel has v1 = v0 + 6 (such
+        # as v0 = 1, v1 = 7), so the window must reach 6.
+        formula = parse_formula(
+            "(not (= (+ v0 2) (+ (ite (=> (< v1 v0) (= v0 v1))"
+            " (+ v1 -2) v0) -2)))"
+        )
+        assert sep_domain_bound(formula) == 10
+        assert not brute_force_valid(formula)
+        model = brute_force_countermodel_sep(formula)
+        assert model is not None and not evaluate(formula, model)
 
 
 class TestValidity:

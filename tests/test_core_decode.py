@@ -8,9 +8,10 @@ from repro.core.decision import (
     decode_countermodel,
     lift_countermodel,
 )
-from repro.encodings.hybrid import encode_eij, encode_sd
+from repro.encodings.hybrid import EIJ, LAZY, encode_eij, encode_sd
 from repro.logic import builders as b
 from repro.logic.semantics import evaluate, evaluate_term
+from repro.logic.terms import TRUE
 from repro.sat.solver import solve_cnf
 from repro.sat.tseitin import to_cnf
 from repro.logic.traversal import collect_vars
@@ -106,7 +107,27 @@ class TestEqualityOnlyClasses:
         # Falsified by x = y = z: both eq-vars true, one merged group.
         formula = b.bnot(b.band(b.eq(x, y), b.eq(y, z)))
         encoding = encode_eij(formula)
-        assert encoding.uses_eq_vars
+        assert set(encoding.method_of_class.values()) == {EIJ}
+        assert encoding.registry.all_eq_vars()
+        cnf = to_cnf(encoding.check_formula)
+        result = solve_cnf(cnf)
+        assert result.is_sat
+        model = decode_countermodel(
+            encoding, boolvar_model(cnf, result.model)
+        )
+        assert model.vars["x"] == model.vars["y"] == model.vars["z"]
+
+    def test_cvc_encoding_is_every_class_lazy(self):
+        # The CVC baseline's encoding: every class LAZY, so no equality
+        # variables and no F_trans; decoding goes through the bounds.
+        x, y, z = b.const("x"), b.const("y"), b.const("z")
+        formula = b.bnot(b.band(b.eq(x, y), b.eq(y, z)))
+        encoding = encode_eij(formula, transitivity=False)
+        assert set(encoding.method_of_class.values()) == {LAZY}
+        assert encoding.stats.lazy_classes == encoding.stats.num_classes
+        assert not encoding.registry.all_eq_vars()
+        assert encoding.registry.all_vars()
+        assert encoding.f_trans is TRUE
         cnf = to_cnf(encoding.check_formula)
         result = solve_cnf(cnf)
         assert result.is_sat

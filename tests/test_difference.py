@@ -9,11 +9,7 @@ from repro.logic import builders as b
 from repro.logic.terms import Var
 from repro.sat.cnf import Cnf
 from repro.sat.solver import CdclSolver
-from repro.theory.difference import (
-    DifferenceSolver,
-    DifferenceTheory,
-    check_bounds,
-)
+from repro.theory.difference import DifferenceTheory, check_bounds
 
 
 def v(name):
@@ -107,31 +103,6 @@ class TestBoundNegation:
         assert neg.lhs is v("b") and neg.rhs is v("a")
         assert neg.c == -4
         assert neg.negation() == bd
-
-
-class TestDifferenceSolver:
-    def test_push_pop(self):
-        solver = DifferenceSolver()
-        solver.assert_bound(Bound(v("a"), v("b"), -1))
-        assert solver.check().consistent
-        solver.push()
-        solver.assert_bound(Bound(v("b"), v("a"), 0))
-        assert not solver.check().consistent
-        solver.pop()
-        assert solver.check().consistent
-
-    def test_pop_empty_raises(self):
-        import pytest
-
-        with pytest.raises(IndexError):
-            DifferenceSolver().pop()
-
-    def test_assert_bounds_iterable(self):
-        solver = DifferenceSolver()
-        solver.assert_bounds(
-            [Bound(v("a"), v("b"), 0), Bound(v("b"), v("c"), 0)]
-        )
-        assert len(solver.assertions()) == 2
 
 
 def asserted(atoms, lit):
@@ -241,6 +212,8 @@ class TestSolverWithTheory:
     @settings(max_examples=150, deadline=None)
     @given(data=st.data())
     def test_verdicts_and_models_match_enumeration(self, data):
+        # One solver answers a plain solve, then solves under random
+        # assumption sets, as an incremental session's solver does.
         atoms = random_atoms(data, 7)
         n = len(atoms)
         literal = st.integers(1, n).flatmap(
@@ -250,24 +223,48 @@ class TestSolverWithTheory:
             st.lists(st.lists(literal, min_size=1, max_size=3), max_size=10)
         )
         cnf = bound_cnf(atoms, clauses)
-        result = CdclSolver(cnf, theory=DifferenceTheory(n, atoms)).solve()
+        solver = CdclSolver(cnf, theory=DifferenceTheory(n, atoms))
 
-        def bounds_of(model):
-            return [
-                atoms[var] if model[var] else atoms[var].negation()
-                for var in atoms
-            ]
+        def holds(model, lits):
+            return all(model[abs(q)] == (q > 0) for q in lits)
 
-        expected = any(
-            all(any(model[abs(q)] == (q > 0) for q in c) for c in clauses)
-            and check_bounds(bounds_of(model)).consistent
-            for model in (
-                dict(zip(range(1, n + 1), values))
-                for values in itertools.product([False, True], repeat=n)
+        def satisfies(model):
+            return all(
+                any(model[abs(q)] == (q > 0) for q in c) for c in clauses
             )
-        )
-        assert result.is_sat == expected
-        if result.is_sat:
-            model = result.model
-            assert all(any(model[abs(q)] == (q > 0) for q in c) for c in clauses)
-            assert check_bounds(bounds_of(model)).consistent
+
+        def consistent(model):
+            return check_bounds(
+                [
+                    atoms[var] if model[var] else atoms[var].negation()
+                    for var in atoms
+                ]
+            ).consistent
+
+        def satisfiable(assumptions):
+            return any(
+                satisfies(model)
+                and holds(model, assumptions)
+                and consistent(model)
+                for model in (
+                    dict(zip(range(1, n + 1), values))
+                    for values in itertools.product([False, True], repeat=n)
+                )
+            )
+
+        def check(result, assumptions):
+            assert result.is_sat == satisfiable(assumptions)
+            if result.is_sat:
+                model = result.model
+                assert satisfies(model)
+                assert holds(model, assumptions)
+                assert consistent(model)
+            else:
+                core = result.core or []
+                assert set(core) <= set(assumptions)
+                assert not satisfiable(core)
+
+        check(solver.solve(), [])
+        for _ in range(data.draw(st.integers(1, 4))):
+            assumptions = data.draw(st.lists(literal, max_size=4))
+            check(solver.solve_under_assumptions(assumptions), assumptions)

@@ -49,6 +49,7 @@ from repro.logic.terms import (
     TRUE,
     Var,
 )
+from repro.sat.solver import CdclSolver
 from repro.service.cache import ResultCache, config_fingerprint, solve_cached
 
 VARS = [Var("x"), Var("y"), Var("z"), Var("w")]
@@ -222,6 +223,36 @@ class TestSessionBasics:
         session.assert_formula(f)
         assert session.check_sat().status == SAT
         assert len(backend._selectors) == selectors_before
+
+
+class TestInSearchTheory:
+    """A check is one assumption solve; the theory learns the cycles."""
+
+    def test_cycle_behind_a_disjunction_is_one_solve(self, monkeypatch):
+        # Each disjunct of x<y ∨ x<z closes a cycle with y<x or z<x, so
+        # a check that re-solved once per cycle would solve three times.
+        assertions = [
+            parse_formula("(or (< x y) (< x z))"),
+            parse_formula("(< y x)"),
+            parse_formula("(< z x)"),
+        ]
+        session = Session()
+        for formula in assertions:
+            session.assert_formula(formula)
+        calls = []
+        solve = CdclSolver.solve_under_assumptions
+
+        def counting(solver, assumptions=()):
+            calls.append(list(assumptions))
+            return solve(solver, assumptions)
+
+        monkeypatch.setattr(CdclSolver, "solve_under_assumptions", counting)
+        result = session.check_sat()
+        assert result.status == UNSAT
+        assert result.backend == "incremental"
+        assert len(calls) == 1
+        assert session.stats.theory_lemmas >= 1
+        assert set(result.core) == set(assertions)
 
 
 class TestEngineFallback:
