@@ -10,7 +10,6 @@ from .pipeline import make_pipeline
 from .suite import (
     DOMAINS,
     benchmark_by_name,
-    invalid_suite,
     invariant_suite,
     non_invariant_suite,
     sample16,
@@ -30,7 +29,6 @@ __all__ = [
     "make_transval",
     "DOMAINS",
     "benchmark_by_name",
-    "invalid_suite",
     "invariant_suite",
     "non_invariant_suite",
     "sample16",

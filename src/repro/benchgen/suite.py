@@ -50,7 +50,6 @@ __all__ = [
     "invariant_suite",
     "sample16",
     "benchmark_by_name",
-    "invalid_suite",
     "DOMAINS",
 ]
 
@@ -149,11 +148,6 @@ def invariant_suite(valid: bool = True) -> List[Benchmark]:
 def suite(valid: bool = True) -> List[Benchmark]:
     """All 49 benchmarks."""
     return non_invariant_suite(valid) + invariant_suite(valid)
-
-
-def invalid_suite() -> List[Benchmark]:
-    """Invalid mutants of every benchmark (for solver testing)."""
-    return suite(valid=False)
 
 
 def sample16() -> List[Benchmark]:

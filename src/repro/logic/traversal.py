@@ -39,7 +39,6 @@ __all__ = [
     "collect_func_symbols",
     "collect_pred_symbols",
     "collect_atoms",
-    "collect_func_apps",
     "max_offset_magnitude",
     "map_terms",
 ]
@@ -111,12 +110,6 @@ def collect_pred_symbols(root: Node) -> List[str]:
 def collect_atoms(root: Node) -> List[Formula]:
     """All ``=`` and ``<`` atoms in the DAG, in deterministic uid order."""
     out = {n for n in iter_dag(root) if isinstance(n, (Eq, Lt))}
-    return sorted(out, key=lambda a: a.uid)
-
-
-def collect_func_apps(root: Node) -> List[FuncApp]:
-    """All uninterpreted function applications, in uid order."""
-    out = {n for n in iter_dag(root) if isinstance(n, FuncApp)}
     return sorted(out, key=lambda a: a.uid)
 
 

@@ -1,6 +1,6 @@
-"""Theory solvers: difference-bound conjunctions and congruence closure."""
+"""Theory core: integer difference-bound conjunctions, checked whole
+(Bellman–Ford) or incrementally inside the SAT search."""
 
-from .congruence import CongruenceClosure
 from .difference import (
     DifferenceResult,
     DifferenceTheory,
@@ -8,7 +8,6 @@ from .difference import (
 )
 
 __all__ = [
-    "CongruenceClosure",
     "DifferenceResult",
     "DifferenceTheory",
     "check_bounds",

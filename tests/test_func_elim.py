@@ -5,6 +5,7 @@ import itertools
 import pytest
 from hypothesis import given, settings, strategies as st
 
+from repro.core import check_validity
 from repro.logic import builders as b
 from repro.logic.semantics import Interpretation, evaluate
 from repro.logic.terms import FuncApp, Ite, PredApp, Var
@@ -218,3 +219,39 @@ class TestValidityPreservation:
         # says invalid, the small-model property says the restricted
         # domain must also exhibit a countermodel.
         assert via_elimination == direct
+
+
+class TestEufConjunctions:
+    """Conjunctive EUF problems through elimination and the eager
+    pipeline, against hand-written verdicts: a conjunction is
+    consistent iff its negation is not valid."""
+
+    @pytest.mark.parametrize(
+        "eqs,diseqs,expect_consistent",
+        [
+            # x=y, y=z, f(x)!=f(z): inconsistent
+            ([("x", "y"), ("y", "z")], [("fx", "fz")], False),
+            # x=y, f(x)!=f(z): consistent
+            ([("x", "y")], [("fx", "fz")], True),
+            # f(x)=x, f(f(x))!=x ... f(f(x)) = f(x) = x: inconsistent
+            ([("fx", "x")], [("ffx", "x")], False),
+        ],
+    )
+    def test_euf_conjunctions(self, eqs, diseqs, expect_consistent):
+        f = b.func("f")
+        x, y, z = b.const("x"), b.const("y"), b.const("z")
+        terms = {
+            "x": x,
+            "y": y,
+            "z": z,
+            "fx": f(x),
+            "fy": f(y),
+            "fz": f(z),
+            "ffx": f(f(x)),
+        }
+        literals = [b.eq(terms[lhs], terms[rhs]) for lhs, rhs in eqs]
+        literals += [
+            b.bnot(b.eq(terms[lhs], terms[rhs])) for lhs, rhs in diseqs
+        ]
+        result = check_validity(b.bnot(b.band(*literals)))
+        assert result.valid == (not expect_consistent)

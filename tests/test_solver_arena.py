@@ -1,11 +1,14 @@
 """Arena-representation tests: differential, round-trip, inprocessing.
 
-The PR 7 refactor moved the SAT core from object-per-clause to a flat
-int arena; the pre-arena implementation is kept frozen in
-``repro.sat.legacy_solver`` as a reference.  These tests pin:
+The SAT core keeps its clauses in a flat int arena.  Its oracle here is
+exhaustive enumeration, exact on these instances (at most 12
+variables).  These tests pin:
 
-* verdict-for-verdict agreement between the two solvers (hypothesis
-  differential, plain and under assumptions),
+* verdict-for-verdict agreement with enumeration, plus checked models
+  and unsat cores (hypothesis differential, plain and under
+  assumptions; half the instances are random 3-CNF near the
+  satisfiability threshold, where the search learns clauses and
+  backjumps),
 * the packed-literal and DIMACS round-trips feeding the arena,
 * arena structural invariants after a full search (watcher lists point
   at live clauses that really contain the watched literal),
@@ -15,7 +18,6 @@ int arena; the pre-arena implementation is kept frozen in
   arena compaction.
 """
 
-import itertools
 import random
 
 from hypothesis import given, settings, strategies as st
@@ -28,10 +30,11 @@ from repro.sat.cnf import (
     unpack_literal,
 )
 from repro.sat.dimacs import dumps, loads
-from repro.sat.legacy_solver import CdclSolver as LegacySolver
 from repro.sat.solver import (
     FLAG_DEAD,
     HEADER,
+    SAT,
+    UNSAT,
     CdclSolver,
     solve_cnf,
 )
@@ -46,11 +49,28 @@ def make_cnf(num_vars, clauses):
 
 
 def brute_force_sat(num_vars, clauses):
-    for bits in itertools.product((False, True), repeat=num_vars):
-        if all(
-            any((lit > 0) == bits[abs(lit) - 1] for lit in clause)
-            for clause in clauses
-        ):
+    """True iff some assignment satisfies ``clauses`` (enumeration).
+
+    Bit ``v - 1`` of an assignment holds variable ``v``.  Each clause is
+    a positive and a negative mask: it holds when the assignment sets a
+    bit of the first or clears a bit of the second.
+    """
+    masks = []
+    for clause in clauses:
+        pos = neg = 0
+        for lit in clause:
+            if lit > 0:
+                pos |= 1 << (lit - 1)
+            else:
+                neg |= 1 << (-lit - 1)
+        masks.append((pos, neg))
+    full = (1 << num_vars) - 1
+    for bits in range(full + 1):
+        cleared = full ^ bits
+        for pos, neg in masks:
+            if not (pos & bits or neg & cleared):
+                break
+        else:
             return True
     return False
 
@@ -71,6 +91,39 @@ def random_instance(rng, max_vars=7, max_clauses=20, max_width=4):
         for _ in range(rng.randint(1, max_clauses))
     ]
     return num_vars, clauses
+
+
+def hard_instance(rng):
+    """Random 3-CNF on 10-12 variables, 3.8-4.6 clauses per variable.
+
+    Near the satisfiability threshold the search learns clauses and
+    backjumps, which the small ``random_instance`` shapes rarely make
+    it do; at this size enumeration is still cheap.
+    """
+    num_vars = rng.randint(10, 12)
+    num_clauses = round(num_vars * rng.uniform(3.8, 4.6))
+    clauses = [
+        [
+            rng.choice([1, -1]) * v
+            for v in rng.sample(range(1, num_vars + 1), 3)
+        ]
+        for _ in range(num_clauses)
+    ]
+    return num_vars, clauses
+
+
+def differential_instance(rng, seed):
+    """An odd ``seed`` draws a ``hard_instance``, an even one a small one."""
+    if seed % 2:
+        return hard_instance(rng)
+    return random_instance(rng)
+
+
+def satisfies(model, clauses):
+    return all(
+        any((lit > 0) == model[abs(lit)] for lit in clause)
+        for clause in clauses
+    )
 
 
 class TestPackedLiterals:
@@ -113,28 +166,24 @@ class TestDimacsRoundTrip:
         assert direct.status == round_tripped.status
 
 
-class TestArenaVsLegacyDifferential:
+class TestArenaVsEnumeration:
     @settings(max_examples=120, deadline=None)
     @given(seed=st.integers(0, 1_000_000))
     def test_statuses_agree_and_models_check(self, seed):
         rng = random.Random(seed)
-        num_vars, clauses = random_instance(rng)
-        arena = CdclSolver(make_cnf(num_vars, clauses)).solve()
-        legacy = LegacySolver(make_cnf(num_vars, clauses)).solve()
-        assert arena.status == legacy.status
-        if arena.is_sat:
-            for clause in clauses:
-                assert any(
-                    (lit > 0) == arena.model[abs(lit)] for lit in clause
-                )
+        num_vars, clauses = differential_instance(rng, seed)
+        result = CdclSolver(make_cnf(num_vars, clauses)).solve()
+        sat = brute_force_sat(num_vars, clauses)
+        assert result.status == (SAT if sat else UNSAT)
+        if result.is_sat:
+            assert satisfies(result.model, clauses)
 
     @settings(max_examples=60, deadline=None)
     @given(seed=st.integers(0, 1_000_000))
     def test_agreement_under_assumptions(self, seed):
         rng = random.Random(seed)
-        num_vars, clauses = random_instance(rng)
-        arena = CdclSolver(make_cnf(num_vars, clauses))
-        legacy = LegacySolver(make_cnf(num_vars, clauses))
+        num_vars, clauses = differential_instance(rng, seed)
+        solver = CdclSolver(make_cnf(num_vars, clauses))
         for _ in range(3):
             assumptions = [
                 rng.choice([1, -1]) * v
@@ -142,15 +191,20 @@ class TestArenaVsLegacyDifferential:
                     range(1, num_vars + 1), rng.randint(0, num_vars)
                 )
             ]
-            a = arena.solve_under_assumptions(assumptions)
-            b = legacy.solve_under_assumptions(assumptions)
-            assert a.status == b.status
-            if a.is_unsat:
-                # Both cores must be real: replaying either on a fresh
-                # solver reproduces UNSAT.
-                assert set(a.core) <= set(assumptions)
+            units = [[lit] for lit in assumptions]
+            result = solver.solve_under_assumptions(assumptions)
+            sat = brute_force_sat(num_vars, clauses + units)
+            assert result.status == (SAT if sat else UNSAT)
+            if result.is_sat:
+                assert satisfies(result.model, clauses + units)
+            else:
+                # The core is real: enumeration finds no model of it, and
+                # replaying it on a fresh solver reproduces UNSAT.
+                assert set(result.core) <= set(assumptions)
+                core_units = [[lit] for lit in result.core]
+                assert not brute_force_sat(num_vars, clauses + core_units)
                 replay = CdclSolver(make_cnf(num_vars, clauses))
-                assert replay.solve_under_assumptions(a.core).is_unsat
+                assert replay.solve_under_assumptions(result.core).is_unsat
 
 
 class TestArenaInvariants:
