@@ -27,7 +27,8 @@ class SolveRequest:
 
     Engines ignore fields they have no use for (the brute-force oracle
     has no ``sep_thold``); engine-specific extras travel in ``options``
-    (HYBRID's ``paper_rule``, the lazy engine's ``max_iterations``, SVC's
+    (HYBRID's ``paper_rule``, the eager engines' SAT conflict budget
+    ``max_conflicts``, the lazy engine's ``max_iterations``, SVC's
     ``max_splits``, brute's enumeration ``limit``, cube's
     ``cube_depth``/``cube_procs``/``cube_share``, the cached engine's
     ``engine``/``cache_dir``).

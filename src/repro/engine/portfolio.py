@@ -18,6 +18,18 @@ decide different families, and the other members mostly decide what
 HYBRID decides.  The price: with fewer CPUs than members, a later
 member gets CPU only once an earlier one gives up, so a formula that
 only it decides, while the first members run to the deadline, is lost.
+
+A race whose first member is an eager-pipeline engine (hybrid, static,
+eij, sd) decides in-process first: that member runs in this process
+under a conflict budget (:data:`INLINE_MAX_CONFLICTS`), and only a
+formula it leaves undecided forks the race.  HYBRID decides every query
+of the SMT-LIB corpus and the paper's suite well within that budget, in
+less time than a fork, a re-parse in the child and a result pipe cost.
+No kill can stop an in-process attempt, so its budgets bound it; and a
+budget stop is not a verdict, so the race that follows runs the first
+member again without the conflict budget and loses nothing the race
+alone would decide.  A single-member race always forks: it exists for
+its hard deadline.
 """
 
 from __future__ import annotations
@@ -42,6 +54,17 @@ _TERMINATE_GRACE = 2.0
 
 #: Poll granularity while waiting for results with no deadline.
 _POLL_SECONDS = 0.05
+
+#: The conflict budget of a race's in-process first attempt.  On the
+#: 120 queries of perfbench's ``smtlib`` workload (the SMT-LIB corpus
+#: and the paper's 98 suite queries), in-process HYBRID needs at most
+#: 255-280 conflicts, on ``transval_s4_i4_5`` (valid; the count moves
+#: with what the process solved before), and a median of 1.  The budget
+#: is about 7x that largest count, so no workload query comes near it;
+#: at the roughly 1 000 conflicts/s the solver reaches on that query's
+#: 1 308-variable CNF, a query that does trip it spends about 2 s in
+#: this process before its race starts.
+INLINE_MAX_CONFLICTS = 2_000
 
 
 #: The meta-engines, never default race members.  Racing the race is
@@ -106,9 +129,8 @@ def _request_from_payload(payload: Dict[str, Any]) -> SolveRequest:
 
 
 def _member_worker(name: str, payload: Dict[str, Any], out_queue: Any) -> None:
-    """Run one member engine in a child process; always reports back."""
-    from . import registry
-
+    """Run one member engine in a child process and report its outcome,
+    a crash included."""
     # A forked member inherits its parent's handlers; ``repro serve``'s
     # only sets a drain flag, which would swallow the SIGTERM that
     # cancels a loser.  So SIGTERM kills a member again.  A terminal's
@@ -116,16 +138,42 @@ def _member_worker(name: str, payload: Dict[str, Any], out_queue: Any) -> None:
     # it (serve drains, other callers cancel their members).
     signal.signal(signal.SIGTERM, signal.SIG_DFL)
     signal.signal(signal.SIGINT, signal.SIG_IGN)
+    out_queue.put((name, _run_member(name, _request_from_payload(payload))))
+
+
+def _run_member(name: str, request: SolveRequest) -> SolveOutcome:
+    """``name``'s outcome on ``request``; a crash is an ``ERROR`` outcome
+    that names the exception, so it cannot end the race."""
+    from . import registry
 
     try:
-        outcome = registry.get(name).solve(_request_from_payload(payload))
+        return registry.get(name).solve(request)
     except Exception as exc:  # a member crash must not kill the race
-        outcome = SolveOutcome(
+        return SolveOutcome(
             engine=name,
             status=Status.ERROR,
             detail="%s: %s" % (type(exc).__name__, exc),
         )
-    out_queue.put((name, outcome))
+
+
+def _solve_inline(
+    request: SolveRequest, name: str, deadline: Optional[float]
+) -> SolveOutcome:
+    """The race's in-process first attempt: ``name`` on a copy of
+    ``request`` whose SAT search stops after :data:`INLINE_MAX_CONFLICTS`
+    conflicts and whose time limit is the smaller of the request's and
+    the race ``deadline``."""
+    limits = [t for t in (request.time_limit, deadline) if t is not None]
+    return _run_member(
+        name,
+        dataclasses.replace(
+            request,
+            time_limit=min(limits, default=None),
+            options=dict(
+                request.options, max_conflicts=INLINE_MAX_CONFLICTS
+            ),
+        ),
+    )
 
 
 def _mp_context() -> multiprocessing.context.BaseContext:
@@ -158,6 +206,7 @@ def _portfolio_outcome(
     finished: Dict[str, SolveOutcome],
     cancelled: Sequence[str],
     started: float,
+    inline: bool = False,
 ) -> SolveOutcome:
     wall = time.perf_counter() - started
     from ..core.result import StageRecord
@@ -174,6 +223,7 @@ def _portfolio_outcome(
                 "launched": len(launched),
                 "finished": len(finished),
                 "cancelled": len(cancelled),
+                "inline": int(inline),
             },
         )
 
@@ -241,8 +291,6 @@ def _solve_sequential(
     deadline: Optional[float] = None,
 ) -> SolveOutcome:
     """In-process fallback: priority order, stop at the first verdict."""
-    from . import registry
-
     started = time.perf_counter()
     finished: Dict[str, SolveOutcome] = {}
     if deadline is None:
@@ -251,14 +299,7 @@ def _solve_sequential(
     for name in members:
         if cutoff is not None and time.perf_counter() >= cutoff:
             break
-        try:
-            outcome = registry.get(name).solve(request)
-        except Exception as exc:
-            outcome = SolveOutcome(
-                engine=name,
-                status=Status.ERROR,
-                detail="%s: %s" % (type(exc).__name__, exc),
-            )
+        outcome = _run_member(name, request)
         finished[name] = outcome
         if outcome.decided:
             return _portfolio_outcome(
@@ -288,19 +329,41 @@ def solve_portfolio(
     receives ``request.time_limit`` as its own budget.  With
     ``parallel=False`` the members run in-process in priority order
     instead (deterministic, multiprocessing-free).
+
+    With two or more members and an eager first member, that member
+    first runs in this process (:func:`_solve_inline`, under
+    :data:`INLINE_MAX_CONFLICTS`).  A verdict from it is the answer,
+    and nothing forks: the ``race`` record then has ``inline`` 1 and
+    ``launched`` 0.  Otherwise the race runs every member, the first
+    one again without the conflict budget, for the rest of
+    ``deadline``.  A single-member race always forks, so its deadline
+    is a kill (serve's one-shots).
     """
+    from . import registry
+    from .engines import EagerEngine
+
     members = _resolve_members(engines)
     if deadline is None:
         deadline = request.time_limit
     if not parallel:
         return _solve_sequential(request, members, deadline=deadline)
 
+    started = time.perf_counter()
+    inline = len(members) > 1 and isinstance(
+        registry.get(members[0]), EagerEngine
+    )
+    if inline:
+        attempt = _solve_inline(request, members[0], deadline)
+        if attempt.decided:
+            return _portfolio_outcome(
+                members[0], attempt, members, (), {}, [], started, inline
+            )
+
     ctx = _mp_context()
     results = ctx.Queue()
     payload = _request_payload(request)
     slots = _usable_cpus()
     waiting = iter(members)
-    started = time.perf_counter()
     procs: Dict[str, multiprocessing.Process] = {}
     finished: Dict[str, SolveOutcome] = {}
     decided: Dict[str, SolveOutcome] = {}
@@ -321,7 +384,6 @@ def solve_portfolio(
             procs[name] = proc
 
     try:
-        launch()
         while len(finished) < len(members):
             if deadline is not None:
                 remaining = deadline - (time.perf_counter() - started)
@@ -330,6 +392,7 @@ def solve_portfolio(
                 timeout = min(remaining, _POLL_SECONDS * 4)
             else:
                 timeout = _POLL_SECONDS * 4
+            launch()
             try:
                 name, outcome = results.get(timeout=timeout)
             except queue_mod.Empty:
@@ -343,7 +406,6 @@ def solve_portfolio(
                             detail="worker exited without a result "
                             "(exitcode %s)" % proc.exitcode,
                         )
-                launch()
                 continue
             finished[name] = outcome
             if outcome.decided:
@@ -359,17 +421,23 @@ def solve_portfolio(
                     if other.decided:
                         decided[other_name] = other
                 break
-            launch()
     finally:
         cancelled = _cancel_losers(procs, finished)
 
     if decided:
         winner_name, winner = _pick_winner(decided, members)
         return _portfolio_outcome(
-            winner_name, winner, members, procs, finished, cancelled, started
+            winner_name,
+            winner,
+            members,
+            procs,
+            finished,
+            cancelled,
+            started,
+            inline,
         )
     return _portfolio_outcome(
-        None, None, members, procs, finished, cancelled, started
+        None, None, members, procs, finished, cancelled, started, inline
     )
 
 

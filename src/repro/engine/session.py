@@ -127,7 +127,8 @@ class CheckResult:
     ``status`` is ``"sat"`` / ``"unsat"`` / ``"unknown"``; ``backend``
     records which path produced it (``incremental``, ``engine``,
     ``cache``, or ``trivial``); ``key`` is the canonical key of the
-    validity query ``Not(conjunction)`` that scopes the cache entry.
+    validity query ``Not(conjunction)`` that scopes the cache entry,
+    and ``""`` when the session has no cache.
     """
 
     status: str
@@ -490,11 +491,14 @@ class Session:
             )
 
         query: Formula = Not(conjunction)
-        form = canonicalize(query)
-        hit = self._cache_lookup(active, form)
-        if hit is not None:
-            hit.wall_seconds = time.perf_counter() - start
-            return hit
+        # The canonical key scopes a cache entry: without a cache it has
+        # no use, and canonicalizing costs time in the stack's size.
+        form = canonicalize(query) if self._cache is not None else None
+        if form is not None:
+            hit = self._cache_lookup(active, form)
+            if hit is not None:
+                hit.wall_seconds = time.perf_counter() - start
+                return hit
 
         try:
             status, model, core = self._backend.check(
@@ -512,13 +516,16 @@ class Session:
 
         self._last_model = model
         self._last_core = core
-        self._cache_store(status, model, form, backend)
+        key = ""
+        if form is not None:
+            self._cache_store(status, model, form, backend)
+            key = form.key
         return CheckResult(
             status,
             model=model,
             core=core,
             backend=backend,
-            key=form.key,
+            key=key,
             wall_seconds=time.perf_counter() - start,
         )
 

@@ -118,6 +118,9 @@ def run_eager(
     the start of the run, and the SAT search on its own: the first ends
     as ``TRANSLATION_LIMIT``, the second as ``UNKNOWN``.  LAZY classes
     change neither: their bounds are checked inside the one search.
+    ``options["max_conflicts"]`` bounds the search by its conflicts (a
+    race's in-process first attempt sets it); that stop is ``UNKNOWN``
+    with a detail that names the budget.
 
     A ``sat_runner`` replaces the SAT search and attaches no theory, so
     the encoder then keeps every class eager (SD or EIJ).
@@ -216,12 +219,15 @@ def run_eager(
             stats.sat = SatStats(original_clauses=pre.stats.clauses_before)
             return outcome(Status.VALID)
 
+    max_conflicts = None
     with clock.stage("sat") as rec:
         if sat_runner is not None:
             sat_result = sat_runner(solver_cnf, request, rec, sep_cnf_vars)
         else:
+            max_conflicts = request.options.get("max_conflicts")
             sat_result = CdclSolver(
                 solver_cnf,
+                max_conflicts=max_conflicts,
                 time_limit=request.time_limit,
                 theory=_lazy_theory(encoding, solver_cnf),
             ).solve()
@@ -233,6 +239,15 @@ def run_eager(
         rec.counters["learned"] = sat_result.stats.learned_clauses
 
     if sat_result.status == "UNKNOWN":
+        if (
+            max_conflicts is not None
+            and sat_result.stats.conflicts >= max_conflicts
+        ):
+            return outcome(
+                Status.UNKNOWN,
+                detail="SAT search stopped at its conflict budget "
+                "(max_conflicts=%d)" % max_conflicts,
+            )
         return outcome(Status.UNKNOWN)
     if sat_result.is_unsat:
         return outcome(Status.VALID)

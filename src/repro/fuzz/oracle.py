@@ -377,9 +377,13 @@ def default_methods(
     ``sd+preprocess`` / ``hybrid+preprocess`` run the same engines with
     preprocessing on, so every verdict *and* every countermodel coming
     back through the model-reconstruction stack is cross-checked against
-    all other procedures.  ``cached`` is the result-cache layer under
-    differential test (cold store per campaign, every formula solved
-    twice plus an alpha-renamed variant; see :func:`_cached_method`).
+    all other procedures.  ``portfolio`` is the default race under
+    differential test: its adopted verdict and countermodel, whether
+    its eager first member decided in-process or a forked member won,
+    are cross-checked like any engine's.  ``cached`` is the
+    result-cache layer under differential test (cold store per
+    campaign, every formula solved twice plus an alpha-renamed variant;
+    see :func:`_cached_method`).
     ``incremental`` is the assumption-based session layer under
     differential test (one persistent session per campaign, random
     prefix-sharing sequences cross-checked against one-shot scratch
@@ -406,6 +410,7 @@ def default_methods(
         "hybrid+preprocess": _engine_method("hybrid"),
         "lazy": _engine_method("lazy", max_iterations=10_000),
         "svc": _engine_method("svc", max_splits=200_000),
+        "portfolio": _engine_method("portfolio"),
         "cached": _cached_method(),
         "incremental": _incremental_method(),
         "cube": _engine_method("cube", cube_depth=2, cube_procs=1),

@@ -311,3 +311,13 @@ class TestEngineOptions:
             SolveRequest(formula=bench.formula, trans_budget=1)
         )
         assert outcome.status == Status.TRANSLATION_LIMIT
+
+    def test_conflict_budget_stops_the_sat_search(self):
+        # driver_s20_7 (valid) takes 194 conflicts: one is not enough.
+        formula = benchmark_by_name("driver_s20_7").formula
+        stopped = run_eager(
+            SolveRequest(formula=formula, options={"max_conflicts": 1})
+        )
+        assert stopped.status == Status.UNKNOWN
+        assert "max_conflicts=1" in stopped.detail
+        assert run_eager(SolveRequest(formula=formula)).status == Status.VALID

@@ -445,6 +445,11 @@ class TestPreprocessConfigs:
                 assert outcome.error is None
 
 
+class TestPortfolioArm:
+    def test_default_methods_include_portfolio(self):
+        assert "portfolio" in default_methods()
+
+
 class TestSmtlibRoundtripArm:
     def test_default_methods_include_smtlib_roundtrip(self):
         assert "smtlib-roundtrip" in default_methods()

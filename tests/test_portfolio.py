@@ -5,13 +5,14 @@ import time
 
 import pytest
 
-from repro.benchgen.suite import benchmark_by_name
+from repro.benchgen.suite import benchmark_by_name, suite
 from repro.cli import main
 from repro.core.status import Status
 from repro.engine import portfolio as portfolio_mod
 from repro.engine import registry
 from repro.engine.base import Engine
 from repro.engine.contract import SolveOutcome, SolveRequest
+from repro.engine.engines import EagerEngine
 from repro.engine.portfolio import (
     _pick_winner,
     default_members,
@@ -47,6 +48,17 @@ class CrashyEngine(Engine):
         raise RuntimeError("intentional test crash")
 
 
+class CrashyEagerEngine(EagerEngine):
+    """An eager engine that crashes: its race starts with an inline
+    attempt."""
+
+    def __init__(self):
+        super().__init__("crashy-eager-test")
+
+    def solve(self, request):
+        raise RuntimeError("intentional test crash")
+
+
 @pytest.fixture
 def sleepy():
     registry.register(SleepyEngine())
@@ -63,6 +75,25 @@ def crashy():
         yield
     finally:
         registry.unregister("crashy-test")
+
+
+@pytest.fixture
+def crashy_eager():
+    registry.register(CrashyEagerEngine())
+    try:
+        yield
+    finally:
+        registry.unregister("crashy-eager-test")
+
+
+@pytest.fixture
+def no_fork(monkeypatch):
+    """Any attempt to fork a race member fails the test."""
+
+    def refuse():
+        raise AssertionError("the race forked")
+
+    monkeypatch.setattr(portfolio_mod, "_mp_context", refuse)
 
 
 @pytest.fixture
@@ -85,6 +116,10 @@ def portfolio_children():
         for p in multiprocessing.active_children()
         if p.name.startswith("portfolio-")
     ]
+
+
+def race_record(outcome):
+    return next(s for s in outcome.stats.stages if s.name == "race")
 
 
 class TestSequentialPortfolio:
@@ -197,9 +232,10 @@ class TestParallelPortfolio:
         assert outcome.winner in ("hybrid", "eij", "sd")
 
     def test_invalid_countermodel_survives_process_hop(self):
+        # One member: a race of two or more would decide in-process.
         formula = parse_formula(INVALID_F)
         outcome = solve_portfolio(
-            SolveRequest(formula=formula), engines=["hybrid", "sd"]
+            SolveRequest(formula=formula), engines=["hybrid"]
         )
         assert outcome.status == Status.INVALID
         assert outcome.counterexample is not None
@@ -293,6 +329,75 @@ class TestParallelPortfolio:
         )
         assert outcome.status == Status.VALID
         assert outcome.winner == "portfolio"
+
+
+class TestInlineFirst:
+    """An eager first member decides in-process; only what it leaves
+    undecided forks the race."""
+
+    def test_inline_verdict_forks_nothing(self, no_fork):
+        outcome = solve_portfolio(
+            request_for(VALID_F), engines=["hybrid", "lazy"]
+        )
+        assert outcome.status == Status.VALID
+        assert outcome.winner == "hybrid"
+        race = race_record(outcome)
+        assert race.counters["inline"] == 1
+        assert race.counters["launched"] == 0
+        assert portfolio_children() == []
+
+    def test_default_race_decides_the_suite_inline(self, no_fork):
+        # Pins INLINE_MAX_CONFLICTS against the workload: every suite
+        # query is decided within the budget, so none forks.
+        for bench in suite(valid=True) + suite(valid=False):
+            outcome = solve_portfolio(SolveRequest(formula=bench.formula))
+            assert outcome.valid is bench.expected_valid, bench.name
+            if not bench.expected_valid:
+                assert not evaluate(
+                    bench.formula, outcome.counterexample
+                ), bench.name
+
+    def test_undecided_inline_attempt_races(self, monkeypatch):
+        attempts = []
+        solve_inline = portfolio_mod._solve_inline
+
+        def recording(*args):
+            attempts.append(solve_inline(*args))
+            return attempts[-1]
+
+        monkeypatch.setattr(portfolio_mod, "_solve_inline", recording)
+        # The paper's SepCnt rule alone sends this query's class to EIJ,
+        # whose transitivity budget it exceeds; lazy decides it.
+        outcome = solve_portfolio(
+            SolveRequest(
+                formula=benchmark_by_name("invariant_n12_3").formula,
+                options={"paper_rule": True},
+            ),
+            engines=["hybrid", "lazy"],
+        )
+        assert [a.status for a in attempts] == [Status.TRANSLATION_LIMIT]
+        assert outcome.status == Status.VALID
+        assert outcome.winner == "lazy"
+        assert race_record(outcome).counters["inline"] == 1
+
+    def test_inline_crash_is_an_error_and_the_race_runs(self, crashy_eager):
+        attempt = portfolio_mod._solve_inline(
+            request_for(VALID_F), "crashy-eager-test", None
+        )
+        assert attempt.status == Status.ERROR
+        assert "RuntimeError: intentional test crash" in attempt.detail
+        outcome = solve_portfolio(
+            request_for(VALID_F), engines=["crashy-eager-test", "hybrid"]
+        )
+        assert outcome.status == Status.VALID
+        assert outcome.winner == "hybrid"
+        race = race_record(outcome)
+        assert race.counters["inline"] == 1
+        assert race.counters["launched"] == 2
+
+    def test_single_member_race_forks(self, no_fork):
+        with pytest.raises(AssertionError, match="the race forked"):
+            solve_portfolio(request_for(VALID_F), engines=["hybrid"])
 
 
 class NapEngine(Engine):
@@ -428,6 +533,7 @@ class TestRaceTelemetry:
         races = [s for s in outcome.stats.stages if s.name == "race"]
         assert len(races) == 1
         assert races[0].counters["members"] == 2
+        assert races[0].counters["inline"] == 0
         assert races[0].counters["cancelled"] >= 1
         assert (
             races[0].counters["finished"]

@@ -580,14 +580,16 @@ class TestRaceCancellation:
     ):
         # Like serve's drain-flag handler, this one swallows SIGTERM.
         # Race members inherit it and must still die at once when the
-        # loser is cancelled.  Two slots, so the loser runs beside hybrid.
+        # loser is cancelled.  Two slots, so the loser runs beside hybrid;
+        # svc first, because a race led by an eager member would first
+        # try hybrid in-process and fork nothing.
         monkeypatch.setattr(portfolio_mod, "_usable_cpus", lambda: 2)
         previous = signal.signal(signal.SIGTERM, lambda signum, frame: None)
         try:
             started = time.perf_counter()
             outcome = solve_portfolio(
                 SolveRequest(formula=benchmark_by_name("cache_c4_3").formula),
-                engines=["hybrid", "svc"],
+                engines=["svc", "hybrid"],
             )
             elapsed = time.perf_counter() - started
         finally:

@@ -207,7 +207,7 @@ class TestSessionBasics:
         assert session.assert_formula(parse_formula("(< y z)")) == 1
 
     def test_state_key_matches_check_key(self):
-        session = Session()
+        session = Session(cache=ResultCache())
         session.assert_formula(parse_formula("(< x y)"))
         key = session.state_key()
         assert session.check_sat().key == key
@@ -289,6 +289,32 @@ class TestEngineFallback:
 
 
 class TestSessionCacheComposition:
+    @pytest.mark.parametrize("cached, calls", [(False, 0), (True, 3)])
+    def test_checks_canonicalize_only_for_the_cache(
+        self, monkeypatch, cached, calls
+    ):
+        import repro.engine.session as session_mod
+
+        made = []
+        original = session_mod.canonicalize
+
+        def counting(formula):
+            made.append(formula)
+            return original(formula)
+
+        monkeypatch.setattr(session_mod, "canonicalize", counting)
+        session = Session(cache=ResultCache() if cached else None)
+        try:
+            session.assert_formula(parse_formula("(< x y)"))
+            keys = [session.check_sat().key]
+            session.assert_formula(parse_formula("(< y z)"))
+            keys.append(session.check_sat().key)
+            keys.append(session.check_sat().key)
+        finally:
+            session.close()
+        assert len(made) == calls
+        assert all(keys) if cached else keys == ["", "", ""]
+
     def test_sessions_share_cache_entries(self):
         cache = ResultCache()
         stack = [parse_formula("(< x y)"), parse_formula("(< y x)")]
