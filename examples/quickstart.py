@@ -5,15 +5,16 @@ Covers the whole public surface in a few minutes of reading:
 
 * building formulas with :mod:`repro.logic.builders`;
 * the three eager encodings (SD, EIJ, HYBRID) via ``check_validity``;
-* the lazy (CVC-style) and case-splitting (SVC-style) baselines;
+* the lazy (CVC-style) and case-splitting (SVC-style) baselines, the
+  first by its engine name through :mod:`repro.engine.registry`;
 * inspecting statistics and counterexamples.
 
 Run:  python examples/quickstart.py
 """
 
 from repro import check_validity, pretty
+from repro.engine import registry
 from repro.logic import builders as b
-from repro.solvers.lazy import check_validity_lazy
 from repro.solvers.svclike import check_validity_svc
 
 
@@ -65,7 +66,7 @@ def main() -> None:
     # 4. The baseline procedures give the same answers.
     # ------------------------------------------------------------------
     for name, solver in (
-        ("lazy (CVC-style)", check_validity_lazy),
+        ("lazy (CVC-style)", registry.get("lazy").decide),
         ("split (SVC-style)", check_validity_svc),
     ):
         print(

@@ -60,6 +60,7 @@ from .core.status import Status
 from .encodings.hybrid import DEFAULT_SEP_THOLD
 from .engine import registry
 from .engine.contract import SolveOutcome, SolveRequest
+from .fuzz.oracle import METHOD_NAMES
 from .logic.parser import parse_formula
 from .logic.printer import pretty
 
@@ -397,9 +398,7 @@ def build_parser() -> argparse.ArgumentParser:
         "--methods",
         default=None,
         metavar="NAMES",
-        help="comma-separated subset of brute,sd,eij,hybrid,static,"
-        "sd+preprocess,hybrid+preprocess,lazy,svc,cached,incremental,"
-        "cube,smtlib-roundtrip",
+        help="comma-separated subset of " + ",".join(METHOD_NAMES),
     )
     fuzz.add_argument(
         "--corpus",

@@ -35,9 +35,7 @@ FRONT_END_STAGES: FrozenSet[str] = frozenset(
 )
 #: Stages whose seconds count as search time.  ``decode``, ``race`` and
 #: ``cache`` count in neither set; only ``wall_seconds`` covers them.
-SEARCH_STAGES: FrozenSet[str] = frozenset(
-    ("sat", "refine", "split", "enumerate")
-)
+SEARCH_STAGES: FrozenSet[str] = frozenset(("sat", "split", "enumerate"))
 
 
 @dataclass
@@ -78,10 +76,6 @@ class StageRecord:
     name: str
     seconds: float = 0.0
     counters: Dict[str, int] = field(default_factory=dict)
-    #: Non-numeric stage outputs threaded to later consumers (e.g. the
-    #: ``cnf`` stage's EIJ→CNF-var map for cube-and-conquer splitting).
-    #: Excluded from :meth:`describe` — counters are the human surface.
-    artifacts: Dict[str, object] = field(default_factory=dict)
 
     def describe(self) -> str:
         parts = "%-10s %8.3fs" % (self.name, self.seconds)

@@ -28,10 +28,10 @@ class SolveRequest:
     Engines ignore fields they have no use for (the brute-force oracle
     has no ``sep_thold``); engine-specific extras travel in ``options``
     (HYBRID's ``paper_rule``, the eager engines' SAT conflict budget
-    ``max_conflicts``, the lazy engine's ``max_iterations``, SVC's
-    ``max_splits``, brute's enumeration ``limit``, cube's
-    ``cube_depth``/``cube_procs``/``cube_share``, the cached engine's
-    ``engine``/``cache_dir``).
+    ``max_conflicts``, the lazy engine's ``max_iterations`` and
+    ``incremental``, SVC's ``max_splits``, brute's enumeration
+    ``limit``, cube's ``cube_depth``/``cube_procs``/``cube_share``, the
+    cached engine's ``engine``/``cache_dir``).
 
     This class is the only list of a request's fields: the portfolio's
     process payload and the cache's rebase onto the canonical formula

@@ -6,9 +6,8 @@ stage (:func:`repro.engine.stages.run_eager` with a ``sat_runner``),
 then:
 
 1. :func:`repro.sat.cubes.generate_cubes` splits the CNF into assumption
-   cubes, preferring the separation-predicate (EIJ) variables surfaced
-   by the ``cnf`` stage — the paper's structurally important case
-   splits.
+   cubes, preferring the separation-predicate (EIJ) variables of the
+   encoding — the paper's structurally important case splits.
 2. Worker processes conquer cubes from a shared queue with
    :meth:`~repro.sat.solver.CdclSolver.solve_under_assumptions` (the
    arena solver is reused unchanged; cubes are assumption lists).
@@ -350,7 +349,8 @@ def conquer(
     record: StageRecord,
     sep_vars: List[int],
 ) -> SatResult:
-    """The cube-and-conquer SAT stage (a :data:`~.stages.SatRunner`).
+    """The cube-and-conquer SAT stage, splitting on ``sep_vars`` first
+    (:class:`CubeEngine` passes the separation predicates' CNF ids).
 
     Options read from ``request.options`` (all prefixed ``cube_``):
     ``cube_depth``, ``cube_procs`` (0 = one per core, capped at 4),
@@ -410,7 +410,13 @@ class CubeEngine(Engine):
     name = "cube"
 
     def solve(self, request: SolveRequest) -> SolveOutcome:
-        outcome = run_eager(request, method="hybrid", sat_runner=conquer)
+        outcome = run_eager(
+            request,
+            method="hybrid",
+            sat_runner=lambda cnf, req, rec, encoding: conquer(
+                cnf, req, rec, encoding.registry.cnf_var_ids(cnf)
+            ),
+        )
         outcome.engine = self.name
         outcome.stats.method = "CUBE(HYBRID)"
         return outcome

@@ -13,11 +13,11 @@ sequential fallback uses).
 At most one member runs per usable CPU.  Members start in priority
 order, and the next one starts when a running member reports without a
 verdict (or dies), so every member, the winner included, gets a whole
-CPU.  The default order puts HYBRID and the lazy procedure first: they
-decide different families, and the other members mostly decide what
-HYBRID decides.  The price: with fewer CPUs than members, a later
-member gets CPU only once an earlier one gives up, so a formula that
-only it decides, while the first members run to the deadline, is lost.
+CPU.  The default order puts HYBRID and lazy, which no transitivity
+budget stops, first; the other members mostly decide what HYBRID
+decides.  The price: with fewer CPUs than members, a later member gets
+CPU only once an earlier one gives up, so a formula that only it
+decides, while the first members run to the deadline, is lost.
 
 A race whose first member is an eager-pipeline engine (hybrid, static,
 eij, sd) decides in-process first: that member runs in this process
@@ -25,11 +25,12 @@ under a conflict budget (:data:`INLINE_MAX_CONFLICTS`), and only a
 formula it leaves undecided forks the race.  HYBRID decides every query
 of the SMT-LIB corpus and the paper's suite well within that budget, in
 less time than a fork, a re-parse in the child and a result pipe cost.
-No kill can stop an in-process attempt, so its budgets bound it; and a
-budget stop is not a verdict, so the race that follows runs the first
-member again without the conflict budget and loses nothing the race
-alone would decide.  A single-member race always forks: it exists for
-its hard deadline.
+No kill can stop an in-process attempt, so its budgets bound it.  A
+conflict-budget stop (or a crash) races the first member again without
+the budget, so the race loses nothing; any other undecided attempt (a
+tripped transitivity budget, the time limit) would recur, so it stands
+as that member's result.  A single-member race always forks: it exists
+for its hard deadline.
 """
 
 from __future__ import annotations
@@ -236,7 +237,9 @@ def _portfolio_outcome(
             for name in members
             if name in finished
         )
-        not_started = ", ".join(n for n in members if n not in launched)
+        not_started = ", ".join(
+            n for n in members if n not in launched and n not in finished
+        )
         if not_started:
             summary += "%snot started: %s" % (
                 "; " if summary else "",
@@ -334,10 +337,10 @@ def solve_portfolio(
     first runs in this process (:func:`_solve_inline`, under
     :data:`INLINE_MAX_CONFLICTS`).  A verdict from it is the answer,
     and nothing forks: the ``race`` record then has ``inline`` 1 and
-    ``launched`` 0.  Otherwise the race runs every member, the first
-    one again without the conflict budget, for the rest of
-    ``deadline``.  A single-member race always forks, so its deadline
-    is a kill (serve's one-shots).
+    ``launched`` 0.  Otherwise the race runs for the rest of
+    ``deadline``, the first member again (without the budget) only
+    after a conflict-budget stop or a crash.  A single-member race
+    always forks, so its deadline is a kill (serve's one-shots).
     """
     from . import registry
     from .engines import EagerEngine
@@ -349,6 +352,7 @@ def solve_portfolio(
         return _solve_sequential(request, members, deadline=deadline)
 
     started = time.perf_counter()
+    finished: Dict[str, SolveOutcome] = {}
     inline = len(members) > 1 and isinstance(
         registry.get(members[0]), EagerEngine
     )
@@ -358,19 +362,22 @@ def solve_portfolio(
             return _portfolio_outcome(
                 members[0], attempt, members, (), {}, [], started, inline
             )
+        # Any stop but the conflict budget's or a crash would recur.
+        spent = attempt.stats.counter("sat", "conflicts")
+        if spent < INLINE_MAX_CONFLICTS and attempt.status is not Status.ERROR:
+            finished[members[0]] = attempt
 
     ctx = _mp_context()
     results = ctx.Queue()
     payload = _request_payload(request)
     slots = _usable_cpus()
-    waiting = iter(members)
+    waiting = iter([name for name in members if name not in finished])
     procs: Dict[str, multiprocessing.Process] = {}
-    finished: Dict[str, SolveOutcome] = {}
     decided: Dict[str, SolveOutcome] = {}
 
     def launch() -> None:
         # A slot frees when its member reports, not when it exits.
-        while len(procs) - len(finished) < slots:
+        while len(procs.keys() - finished.keys()) < slots:
             name = next(waiting, None)
             if name is None:
                 return

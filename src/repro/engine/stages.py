@@ -3,7 +3,7 @@
 ``func-elim → encode → cnf → preprocess → sat → decode`` is the paper's
 §2.1 flow plus a SatELite-style CNF simplification stage
 (:mod:`repro.sat.preprocess`); this module is the single implementation
-behind the ``sd`` / ``eij`` / ``hybrid`` / ``static`` engines *and*
+behind the four eager engines, the CVC baseline (``lazy``), cube *and*
 :func:`repro.core.decision.check_validity`.  Every stage appends a
 :class:`~repro.core.result.StageRecord` (wall seconds plus counters)
 through a :class:`~repro.core.result.StageClock`; those records are the
@@ -27,7 +27,7 @@ theory sees every bound a model asserts.
 from __future__ import annotations
 
 import time
-from typing import Any, Callable, List, Optional, Set
+from typing import Any, Callable, Optional, Set
 
 from ..core.decision import (
     boolvar_model,
@@ -56,6 +56,7 @@ from ..logic.traversal import dag_size
 from ..sat.preprocess import preprocess_cnf
 from ..sat.solver import CdclSolver, SatStats
 from ..sat.tseitin import to_cnf
+from ..separation.analysis import analyze_separation
 from ..theory.difference import DifferenceTheory
 from ..transform.func_elim import eliminate_applications
 from .contract import SolveRequest
@@ -63,14 +64,13 @@ from .contract import SolveRequest
 __all__ = ["run_eager", "SatRunner"]
 
 #: Replacement SAT search for :func:`run_eager`: called with the solver's
-#: CNF, the request, the live ``sat`` :class:`StageRecord`, and the CNF
-#: variable ids of the surviving separation predicates (EIJ/equality
-#: registry variables — see ``cnf`` stage artifacts).  Must return a
-#: :class:`repro.sat.solver.SatResult`-shaped object.  Cube-and-conquer
-#: (:mod:`repro.engine.cube`) plugs in here; everything before and after
-#: the SAT stage — encoding, preprocessing, model reconstruction,
-#: countermodel decode — is shared with the sequential engines.
-SatRunner = Callable[[Any, SolveRequest, StageRecord, List[int]], Any]
+#: CNF, the request, the live ``sat`` :class:`StageRecord` and the
+#: :class:`Encoding`; returns a :class:`~repro.sat.solver.SatResult`.
+#: The CVC baseline's refinement loop (:mod:`repro.solvers.lazy`) and
+#: cube-and-conquer (:mod:`repro.engine.cube`) plug in here; everything
+#: before and after the SAT stage — encoding, preprocessing, model
+#: reconstruction, countermodel decode — is shared with the other engines.
+SatRunner = Callable[[Any, SolveRequest, StageRecord, Encoding], Any]
 
 
 #: Each encoder is called with ``F_sep``, the request, the solve's
@@ -79,7 +79,7 @@ SatRunner = Callable[[Any, SolveRequest, StageRecord, List[int]], Any]
 #: ``sat`` stage checks LAZY classes (no ``sat_runner``).  HYBRID reads
 #: ``options["paper_rule"]``, which ``repro experiment`` sets to run the
 #: paper's SepCnt rule alone, and picks LAZY classes only when the
-#: ``sat`` stage checks them.
+#: ``sat`` stage checks them.  ``lazy`` is the CVC baseline's encoding.
 _ENCODERS = {
     "sd": lambda f_sep, req, deadline, lazy: encode_sd(
         f_sep, sd_ranges=req.sd_ranges
@@ -97,6 +97,11 @@ _ENCODERS = {
         deadline=deadline,
         paper_rule=req.options.get("paper_rule", False),
         lazy=lazy,
+    ),
+    "lazy": lambda f_sep, req, deadline, lazy: encode_eij(
+        f_sep,
+        analysis=analyze_separation(f_sep, positive_equality=False),
+        transitivity=False,
     ),
 }
 
@@ -123,7 +128,7 @@ def run_eager(
     with a detail that names the budget.
 
     A ``sat_runner`` replaces the SAT search and attaches no theory, so
-    the encoder then keeps every class eager (SD or EIJ).
+    HYBRID keeps every class eager; ``lazy``'s runner checks its own.
     """
     if method not in _ENCODERS:
         raise ValueError(
@@ -184,11 +189,6 @@ def run_eager(
         cnf = to_cnf(encoding.check_formula, mode="pg")
         rec.counters["vars"] = cnf.num_vars
         rec.counters["clauses"] = len(cnf)
-        # Surface the EIJ→CNF-var map: these are the separation
-        # predicates cube-and-conquer prefers as splitting points.
-        sep_cnf_vars = encoding.registry.cnf_var_ids(cnf)
-        rec.counters["sep_cnf_vars"] = len(sep_cnf_vars)
-        rec.artifacts["sep_cnf_vars"] = sep_cnf_vars
 
     pre = None
     solver_cnf = cnf
@@ -222,7 +222,7 @@ def run_eager(
     max_conflicts = None
     with clock.stage("sat") as rec:
         if sat_runner is not None:
-            sat_result = sat_runner(solver_cnf, request, rec, sep_cnf_vars)
+            sat_result = sat_runner(solver_cnf, request, rec, encoding)
         else:
             max_conflicts = request.options.get("max_conflicts")
             sat_result = CdclSolver(

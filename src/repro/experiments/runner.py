@@ -159,6 +159,6 @@ def run_benchmark(
         conflict_clauses=stats.conflict_clauses,
         sep_predicates=stats.sep_predicates,
         dag_size=bench.dag_size,
-        refinements=stats.counter("refine", "iterations"),
+        refinements=stats.counter("sat", "iterations"),
         detail=result.detail,
     )

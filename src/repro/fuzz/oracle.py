@@ -36,6 +36,7 @@ from .rewrite import rebuild
 __all__ = [
     "MethodOutcome",
     "Discrepancy",
+    "METHOD_NAMES",
     "default_methods",
     "run_methods",
     "differential_check",
@@ -365,6 +366,28 @@ def _smtlib_roundtrip_method(
     return run
 
 
+#: The campaign's arms in run order, each built for the brute budget.
+_ARMS: Dict[str, Callable[[int], Callable[[Formula], MethodOutcome]]] = {
+    "brute": lambda limit: _engine_method("brute", limit=limit),
+    "sd": lambda limit: _engine_method("sd", preprocess=False),
+    "eij": lambda limit: _engine_method("eij", preprocess=False),
+    "hybrid": lambda limit: _engine_method("hybrid", preprocess=False),
+    "static": lambda limit: _engine_method("static", preprocess=False),
+    "sd+preprocess": lambda limit: _engine_method("sd"),
+    "hybrid+preprocess": lambda limit: _engine_method("hybrid"),
+    "lazy": lambda limit: _engine_method("lazy", max_iterations=10_000),
+    "svc": lambda limit: _engine_method("svc", max_splits=200_000),
+    "portfolio": lambda limit: _engine_method("portfolio"),
+    "cached": lambda limit: _cached_method(),
+    "incremental": lambda limit: _incremental_method(),
+    "cube": lambda limit: _engine_method("cube", cube_depth=2, cube_procs=1),
+    "smtlib-roundtrip": lambda limit: _smtlib_roundtrip_method(),
+}
+
+#: The arm names ``repro fuzz --methods`` takes a subset of.
+METHOD_NAMES = tuple(_ARMS)
+
+
 def default_methods(
     oracle_limit: int = DEFAULT_ORACLE_LIMIT,
     names: Optional[List[str]] = None,
@@ -400,31 +423,14 @@ def default_methods(
     reparsed formula (see :func:`_smtlib_roundtrip_method`).
     Every method dispatches through :mod:`repro.engine.registry`.
     """
-    methods: Dict[str, Callable[[Formula], MethodOutcome]] = {
-        "brute": _engine_method("brute", limit=oracle_limit),
-        "sd": _engine_method("sd", preprocess=False),
-        "eij": _engine_method("eij", preprocess=False),
-        "hybrid": _engine_method("hybrid", preprocess=False),
-        "static": _engine_method("static", preprocess=False),
-        "sd+preprocess": _engine_method("sd"),
-        "hybrid+preprocess": _engine_method("hybrid"),
-        "lazy": _engine_method("lazy", max_iterations=10_000),
-        "svc": _engine_method("svc", max_splits=200_000),
-        "portfolio": _engine_method("portfolio"),
-        "cached": _cached_method(),
-        "incremental": _incremental_method(),
-        "cube": _engine_method("cube", cube_depth=2, cube_procs=1),
-        "smtlib-roundtrip": _smtlib_roundtrip_method(),
-    }
-    if names is None:
-        return methods
-    unknown = sorted(set(names) - set(methods))
+    chosen = METHOD_NAMES if names is None else names
+    unknown = sorted(set(chosen) - set(METHOD_NAMES))
     if unknown:
         raise ValueError(
             "unknown method(s) %s; expected a subset of %s"
-            % (", ".join(unknown), ", ".join(methods))
+            % (", ".join(unknown), ", ".join(METHOD_NAMES))
         )
-    return {name: methods[name] for name in names}
+    return {name: _ARMS[name](oracle_limit) for name in chosen}
 
 
 def run_methods(

@@ -1,5 +1,5 @@
-"""Decision procedures beyond the eager core: brute force, lazy (CVC-style),
-and structural case splitting (SVC-style)."""
+"""Decision procedures beyond the eager core: brute force, the lazy
+(CVC-style) refinement loop, and structural case splitting (SVC-style)."""
 
 from .brute import (
     BruteForceLimitExceeded,
@@ -8,7 +8,6 @@ from .brute import (
     brute_force_valid_sep,
     sep_domain_bound,
 )
-from .lazy import check_validity_lazy
 from .svclike import check_validity_svc
 
 __all__ = [
@@ -17,6 +16,5 @@ __all__ = [
     "brute_force_valid",
     "brute_force_valid_sep",
     "sep_domain_bound",
-    "check_validity_lazy",
     "check_validity_svc",
 ]

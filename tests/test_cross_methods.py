@@ -12,18 +12,24 @@ import pytest
 from hypothesis import HealthCheck, example, given, settings, strategies as st
 
 from repro.core import check_validity
+from repro.engine import registry
+from repro.engine.contract import SolveRequest
 from repro.logic.semantics import evaluate
 from repro.solvers.brute import (
     BruteForceLimitExceeded,
     brute_force_valid,
 )
-from repro.solvers.lazy import check_validity_lazy
 from repro.solvers.svclike import check_validity_svc
 
 from helpers import random_sep_formula, random_suf_formula
 
 
 EAGER_METHODS = ("sd", "eij", "hybrid", "static")
+
+
+def solve_lazy(formula, **fields):
+    """The lazy (CVC-style) engine; ``fields`` are request fields."""
+    return registry.get("lazy").solve(SolveRequest(formula=formula, **fields))
 
 
 def oracle(formula):
@@ -74,7 +80,7 @@ class TestBaselinesAgainstBruteForce:
         expected = oracle(formula)
         if expected is None:
             return
-        lazy = check_validity_lazy(formula)
+        lazy = solve_lazy(formula)
         assert lazy.valid == expected, ("lazy", formula)
         if lazy.valid is False and lazy.counterexample is not None:
             assert not evaluate(formula, lazy.counterexample)
@@ -99,7 +105,7 @@ class TestAllSixAgree:
             ).valid
         assert len(set(verdicts.values())) == 1, verdicts
         eager = next(iter(verdicts.values()))
-        lazy = check_validity_lazy(
+        lazy = solve_lazy(
             formula, time_limit=30.0, want_countermodel=False
         ).valid
         if lazy is not None:

@@ -223,8 +223,8 @@ class TestStageTelemetry:
     def test_lazy_stages(self):
         outcome = registry.get("lazy").decide(parse_formula(VALID_F))
         by_name = {s.name: s for s in outcome.stages}
-        assert "iterations" in by_name["refine"].counters
-        assert by_name["refine"].counters["iterations"] >= 1
+        assert "iterations" in by_name["sat"].counters
+        assert by_name["sat"].counters["iterations"] >= 1
 
     def test_svc_stages(self):
         outcome = registry.get("svc").decide(parse_formula(VALID_F))
@@ -255,9 +255,10 @@ class TestOneRecordPerSolve:
     """Every registered engine writes its times and sizes only into
     ``stats.stages``; the flat figures are derived from those records."""
 
+    #: (engine, stage) -> the counters that stage must carry.
     SEARCH_COUNTERS = {
-        "refine": {"iterations", "theory_checks", "conflict_clauses"},
-        "split": {"splits", "theory_checks", "pruned"},
+        ("lazy", "sat"): {"iterations", "theory_checks", "conflict_clauses"},
+        ("svc", "split"): {"splits", "theory_checks", "pruned"},
     }
 
     @pytest.mark.parametrize("valid", [True, False], ids=["valid", "invalid"])
@@ -278,11 +279,17 @@ class TestOneRecordPerSolve:
         assert outcome.wall_seconds >= stats.encode_seconds + stats.sat_seconds
         names = [r.name for r in stats.stages]
         if name == "lazy":
-            assert names == ["func-elim", "encode", "cnf", "refine"]
+            # The pipeline's stages, the refinement loop's on ``sat``;
+            # preprocessing stays off.
+            decode = [] if valid else ["decode"]
+            assert names == ["func-elim", "encode", "cnf", "sat"] + decode
+            encode = stats.stages[1].counters
+            assert encode["lazy_classes"] == encode["classes"]
+            assert encode["trans_clauses"] == 0
         if name == "svc":
             assert names == ["func-elim", "flatten", "split"]
         for record in stats.stages:
-            expected = self.SEARCH_COUNTERS.get(record.name, set())
+            expected = self.SEARCH_COUNTERS.get((name, record.name), set())
             assert expected <= set(record.counters), (name, record)
 
 

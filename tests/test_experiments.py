@@ -65,13 +65,13 @@ class TestRunner:
     )
     def test_lazy_refinement_mode(self, monkeypatch, kw, incremental):
         seen = []
-        solve = engines.check_validity_lazy
+        run_refine = engines.run_refine
 
-        def spy(formula, **options):
-            seen.append(options["incremental"])
-            return solve(formula, **options)
+        def spy(cnf, request, record, encoding):
+            seen.append(request.options["incremental"])
+            return run_refine(cnf, request, record, encoding)
 
-        monkeypatch.setattr(engines, "check_validity_lazy", spy)
+        monkeypatch.setattr(engines, "run_refine", spy)
         bench = make_pipeline(stages=2, reads=2, seed=0)
         row = runner.run_benchmark(bench, "CVC(lazy)", timeout=20.0, **kw)
         assert row.status == "VALID" and row.refinements > 0

@@ -279,6 +279,16 @@ class TestCli:
         assert code == 0
 
 
+class TestMethodsHelp:
+    def test_help_lists_every_arm(self, capsys):
+        with pytest.raises(SystemExit):
+            cli_main(["fuzz", "--help"])
+        # argparse wraps the list anywhere; whitespace is not part of it.
+        text = "".join(capsys.readouterr().out.split())
+        listed = text.split("subsetof", 1)[1].split("--corpus", 1)[0]
+        assert listed.split(",") == list(default_methods())
+
+
 class TestCachedArm:
     def test_default_methods_include_cached(self):
         assert "cached" in default_methods()

@@ -378,7 +378,39 @@ class TestInlineFirst:
         assert [a.status for a in attempts] == [Status.TRANSLATION_LIMIT]
         assert outcome.status == Status.VALID
         assert outcome.winner == "lazy"
-        assert race_record(outcome).counters["inline"] == 1
+        race = race_record(outcome)
+        assert race.counters["inline"] == 1
+        # The trip would recur: only lazy forks.
+        assert race.counters["launched"] == 1
+
+    def test_a_final_inline_outcome_takes_no_cpu_slot(self, nappers, cpus):
+        names, log_dir = nappers
+        cpus(1)
+        outcome = solve_portfolio(
+            SolveRequest(
+                formula=benchmark_by_name("invariant_n12_3").formula,
+                options={"paper_rule": True},
+            ),
+            engines=["hybrid", "lazy", names[0]],
+        )
+        assert outcome.winner == "lazy"
+        assert race_record(outcome).counters["launched"] == 1
+        assert not (log_dir / names[0]).exists()
+
+    def test_a_conflict_budget_stop_races_the_first_member_again(
+        self, monkeypatch, cpus
+    ):
+        # driver_s20_7 (valid) takes 194 conflicts: one is not enough.
+        monkeypatch.setattr(portfolio_mod, "INLINE_MAX_CONFLICTS", 1)
+        cpus(2)
+        outcome = solve_portfolio(
+            SolveRequest(formula=benchmark_by_name("driver_s20_7").formula),
+            engines=["hybrid", "lazy"],
+        )
+        assert outcome.status == Status.VALID
+        race = race_record(outcome)
+        assert race.counters["inline"] == 1
+        assert race.counters["launched"] == 2
 
     def test_inline_crash_is_an_error_and_the_race_runs(self, crashy_eager):
         attempt = portfolio_mod._solve_inline(

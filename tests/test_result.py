@@ -18,7 +18,7 @@ class TestDecisionStats:
             stages=[
                 StageRecord("func-elim", 1.0),
                 StageRecord("flatten", 2.0),
-                StageRecord("refine", 4.0),
+                StageRecord("sat", 4.0),
                 StageRecord("decode", 8.0),
                 StageRecord("race", 16.0),
                 StageRecord("cache", 32.0),
