@@ -40,6 +40,7 @@ import multiprocessing
 import os
 import queue as queue_mod
 import signal
+import threading
 import time
 from typing import Any, Collection, Dict, List, Optional, Sequence, Tuple
 
@@ -66,6 +67,15 @@ _POLL_SECONDS = 0.05
 #: 1 308-variable CNF, a query that does trip it spends about 2 s in
 #: this process before its race starts.
 INLINE_MAX_CONFLICTS = 2_000
+
+#: Held around each member's ``Process.start()``, so races in different
+#: threads (serve's workers) start their members one at a time.  A
+#: member forked while another thread is inside ``start()`` would
+#: inherit the write end of that thread's new member sentinel, which the
+#: parent closes only after its fork returns; the other race's join
+#: would then wait for this member to exit too.  Members are daemonic
+#: and cannot fork, so they never take it.
+_START_LOCK = threading.Lock()
 
 
 #: The meta-engines, never default race members.  Racing the race is
@@ -387,7 +397,8 @@ def solve_portfolio(
                 name="portfolio-%s" % name,
                 daemon=True,
             )
-            proc.start()
+            with _START_LOCK:
+                proc.start()
             procs[name] = proc
 
     try:

@@ -6,8 +6,9 @@ SMT-LIB 2 (:mod:`repro.logic.smtlib`) — write awkward symbol spellings
 as ``|quoted symbols|``.  The rules for *when* a name needs quoting
 live here, in one place, so a printer can never disagree with its
 reader about what reads back as the same symbol: a name is quoted iff
-it is a reserved word of the syntax at hand, spells like a numeral,
-starts with a digit, or strays outside the simple-symbol alphabet.
+it is a reserved word of the syntax at hand, spells like a numeral or
+a decimal, starts with a digit, or strays outside the simple-symbol
+alphabet.
 
 Each syntax supplies its own reserved-word set (``let`` is reserved in
 SMT-LIB but a fine s-expression identifier; ``iff`` and ``succ`` are
@@ -22,6 +23,7 @@ __all__ = [
     "SIMPLE_SYMBOL_CHARS",
     "is_simple_symbol",
     "reads_as_numeral",
+    "reads_as_decimal",
     "symbol_needs_quoting",
     "quote_symbol",
     "render_symbol",
@@ -49,6 +51,17 @@ def reads_as_numeral(name: str) -> bool:
     return True
 
 
+def reads_as_decimal(name: str) -> bool:
+    """True when a bare ``name`` would lex as a decimal literal.
+
+    Signs and a leading point count (``.0``, ``-1.5``, ``+.5``): the
+    SMT-LIB reader lexes them as decimals, so such names must be
+    ``|quoted|``.
+    """
+    head = name.lstrip("+-")
+    return "." in head and head.replace(".", "", 1).isdigit()
+
+
 def is_simple_symbol(name: str) -> bool:
     """A nonempty name over the simple alphabet, not digit-led."""
     return (
@@ -63,6 +76,7 @@ def symbol_needs_quoting(name: str, reserved: FrozenSet[str]) -> bool:
     return (
         name in reserved
         or reads_as_numeral(name)
+        or reads_as_decimal(name)
         or not is_simple_symbol(name)
     )
 

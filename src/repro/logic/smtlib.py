@@ -208,8 +208,7 @@ def _classify(text: str) -> str:
         return "keyword"
     if reads_as_numeral(text):
         return "numeral"
-    head = text.lstrip("+-")
-    if head and head.replace(".", "", 1).isdigit() and "." in head:
+    if lexicon.reads_as_decimal(text):
         return "decimal"
     return "symbol"
 

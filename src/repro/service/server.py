@@ -41,6 +41,7 @@ from __future__ import annotations
 
 import collections
 import json
+import os
 import queue
 import signal
 import sys
@@ -622,11 +623,30 @@ def run_server(
 
     Emits a ``{"event": "ready"}`` line once the workers are up — clients
     should wait for it before sending — and a ``{"event": "bye"}`` line
-    after the drain, with totals.
+    after the drain, with totals.  Without ``stdin`` the server reads the
+    process's stdin, and ``sys.stdin`` is an ``os.devnull`` stand-in
+    until it returns.
     """
     config = config or ServeConfig()
-    inp = stdin if stdin is not None else sys.stdin
     out = stdout if stdout is not None else sys.stdout
+    if stdin is not None:
+        return _serve(config, stdin, out)
+    # A forked race member's bootstrap closes ``sys.stdin``.  The reader
+    # thread holds the real stdin's buffer lock while it waits in
+    # ``readline``, and a fork copies that lock still held, so a member
+    # that closed the real stdin would block forever.  It closes the
+    # stand-in instead, which no thread has locked.
+    real_stdin = sys.stdin
+    stand_in = open(os.devnull)
+    sys.stdin = stand_in
+    try:
+        return _serve(config, real_stdin, out)
+    finally:
+        sys.stdin = real_stdin
+        stand_in.close()
+
+
+def _serve(config: ServeConfig, inp: IO[str], out: IO[str]) -> int:
     cache: Optional[ResultCache] = None
     if config.use_cache:
         cache = ResultCache(disk_dir=config.cache_dir)

@@ -1,6 +1,8 @@
 """Tests for the parallel portfolio driver and ``repro portfolio``."""
 
 import multiprocessing
+import queue
+import threading
 import time
 
 import pytest
@@ -489,6 +491,68 @@ class TestSchedule:
         cpus(4)
         solve_portfolio(request_for(VALID_F), engines=names)
         assert most_at_once(solve_intervals(names, log_dir)) == 4
+
+
+class RecordingContext:
+    """A multiprocessing context whose ``Process.start()`` forks nothing:
+    it sleeps, logs the interval it spent, and reports a verdict."""
+
+    def __init__(self):
+        self.intervals = []
+
+    def Queue(self):
+        return queue.Queue()
+
+    def Process(self, target, args, name, daemon):
+        return RecordingProcess(self, args)
+
+
+class RecordingProcess:
+    exitcode = 0
+
+    def __init__(self, ctx, args):
+        self.ctx = ctx
+        self.args = args
+
+    def start(self):
+        begun = time.monotonic()
+        time.sleep(0.2)
+        self.ctx.intervals.append((begun, time.monotonic()))
+        name, _, results = self.args
+        results.put((name, SolveOutcome(engine=name, status=Status.VALID)))
+
+    def is_alive(self):
+        return False
+
+    def join(self, timeout=None):
+        pass
+
+
+class TestStartLock:
+    def test_races_in_two_threads_start_members_one_at_a_time(
+        self, monkeypatch
+    ):
+        # A member forked while another thread is inside start() would
+        # inherit that thread's new sentinel pipe (serve's two workers).
+        ctx = RecordingContext()
+        monkeypatch.setattr(portfolio_mod, "_mp_context", lambda: ctx)
+        barrier = threading.Barrier(2)
+        outcomes = []
+
+        def race():
+            barrier.wait()
+            outcomes.append(
+                solve_portfolio(request_for(VALID_F), engines=["hybrid"])
+            )
+
+        threads = [threading.Thread(target=race) for _ in range(2)]
+        for thread in threads:
+            thread.start()
+        for thread in threads:
+            thread.join(timeout=30)
+        assert [o.status for o in outcomes] == [Status.VALID] * 2
+        (_, first_end), (second_start, _) = sorted(ctx.intervals)
+        assert first_end <= second_start
 
 
 def write_files(tmp_path, texts):

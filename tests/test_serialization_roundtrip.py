@@ -14,7 +14,7 @@ offsets, applications, Boolean skeletons) flows through each printer.
 import itertools
 
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import example, given, settings, strategies as st
 
 from repro.fuzz import PROFILES, generate_formula
 from repro.logic import builders as b
@@ -108,6 +108,10 @@ class TestSmtlibPrinterDetails:
         )
     )
     @settings(max_examples=60, deadline=None)
+    # Names the SMT-LIB reader lexes as decimals must print quoted.
+    @example(name=".0")
+    @example(name="-1.5")
+    @example(name="+.5")
     def test_symbol_quoting_property(self, name):
         if name.strip() != name or "|" in name or "\\" in name:
             return  # outside the printable-symbol contract

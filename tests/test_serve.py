@@ -7,6 +7,7 @@ loop in-process over StringIO; end-to-end tests drive the real CLI in a
 subprocess, including graceful SIGTERM drain.
 """
 
+import contextlib
 import io
 import json
 import os
@@ -14,6 +15,7 @@ import queue
 import signal
 import subprocess
 import sys
+import threading
 import time
 
 from repro.benchgen import benchmark_by_name
@@ -443,25 +445,80 @@ class TestSessions:
         assert by_id[5]["cache"]["hits_memory"] == 1
 
 
-def _spawn_serve(*extra_args):
+@contextlib.contextmanager
+def _serve(*extra_args):
+    """``repro serve`` in a subprocess, in its default configuration (fork
+    on) unless ``extra_args`` say otherwise.
+
+    The server runs in its own session, and the whole process group is
+    killed on the way out: a hung race member outlives a killed server.
+    """
     env = dict(os.environ)
     src = os.path.join(os.path.dirname(os.path.dirname(__file__)), "src")
     env["PYTHONPATH"] = src + os.pathsep + env.get("PYTHONPATH", "")
-    return subprocess.Popen(
-        [sys.executable, "-m", "repro.cli", "serve", "--no-fork"]
-        + list(extra_args),
+    with subprocess.Popen(
+        [sys.executable, "-m", "repro.cli", "serve"] + list(extra_args),
         stdin=subprocess.PIPE,
         stdout=subprocess.PIPE,
-        stderr=subprocess.PIPE,
+        stderr=subprocess.DEVNULL,
         text=True,
         env=env,
-    )
+        start_new_session=True,
+    ) as proc:
+        try:
+            yield proc
+        finally:
+            try:
+                os.killpg(proc.pid, signal.SIGKILL)
+            except ProcessLookupError:
+                pass
+
+
+def _send(proc, request):
+    proc.stdin.write(json.dumps(request) + "\n")
+    proc.stdin.flush()
+
+
+class _Lines:
+    """The server's stdout, one parsed response at a time, each awaited
+    for at most ``within`` seconds (a reader thread does the blocking)."""
+
+    def __init__(self, stream):
+        self._lines = queue.Queue()
+        threading.Thread(
+            target=self._pump, args=(stream,), daemon=True
+        ).start()
+
+    def _pump(self, stream):
+        try:
+            for line in stream:
+                self._lines.put(line)
+        except (OSError, ValueError):  # the harness closed the pipe
+            pass
+        self._lines.put(None)
+
+    def next(self, within):
+        try:
+            line = self._lines.get(timeout=within)
+        except queue.Empty:
+            raise AssertionError(
+                "serve answered nothing within %.1f s" % within
+            ) from None
+        assert line is not None, "serve closed its stdout"
+        return json.loads(line)
+
+
+def _group_is_empty(pgid):
+    try:
+        os.killpg(pgid, 0)
+    except ProcessLookupError:
+        return True
+    return False
 
 
 class TestSubprocessEndToEnd:
     def test_smoke_over_real_pipes(self):
-        proc = _spawn_serve("--workers", "2")
-        try:
+        with _serve("--workers", "2") as proc:
             ready = json.loads(proc.stdout.readline())
             assert ready["event"] == "ready"
             requests = [
@@ -477,8 +534,6 @@ class TestSubprocessEndToEnd:
                 json.loads(line) for line in proc.stdout.readlines()
             ]
             assert proc.wait(timeout=60) == 0
-        finally:
-            proc.kill()
         assert responses[-1]["event"] == "bye"
         by_id = {r["id"]: r for r in responses if "id" in r}
         assert by_id[1]["status"] == "VALID"
@@ -488,8 +543,7 @@ class TestSubprocessEndToEnd:
         assert responses[-1]["served"] == 4
 
     def test_sigterm_drains_in_flight_requests(self):
-        proc = _spawn_serve("--workers", "1")
-        try:
+        with _serve("--workers", "1") as proc:
             ready = json.loads(proc.stdout.readline())
             assert ready["event"] == "ready"
             proc.stdin.write(json.dumps({"id": 1, "formula": VALID_F}) + "\n")
@@ -505,8 +559,6 @@ class TestSubprocessEndToEnd:
                 json.loads(line) for line in proc.stdout.readlines()
             ]
             rc = proc.wait(timeout=60)
-        finally:
-            proc.kill()
         assert rc == 0
         assert responses[-1]["event"] == "bye"
         by_id = {r["id"]: r for r in responses if "id" in r}
@@ -515,8 +567,7 @@ class TestSubprocessEndToEnd:
         assert by_id[2]["status"] == "INVALID"
 
     def test_sigterm_drains_and_evicts_open_sessions(self):
-        proc = _spawn_serve("--workers", "1")
-        try:
+        with _serve("--workers", "1") as proc:
             ready = json.loads(proc.stdout.readline())
             assert ready["event"] == "ready"
             proc.stdin.write(json.dumps({"id": 1, "kind": "open"}) + "\n")
@@ -543,8 +594,6 @@ class TestSubprocessEndToEnd:
                 json.loads(line) for line in proc.stdout.readlines()
             ]
             rc = proc.wait(timeout=60)
-        finally:
-            proc.kill()
         assert rc == 0
         by_id = {r["id"]: r for r in responses if "id" in r}
         assert by_id[2]["ok"] is True
@@ -556,8 +605,7 @@ class TestSubprocessEndToEnd:
     def test_cache_dir_persists_across_server_runs(self, tmp_path):
         disk = str(tmp_path / "cache")
         for expect_tier in ("misses", "hits_disk"):
-            proc = _spawn_serve("--workers", "1", "--cache-dir", disk)
-            try:
+            with _serve("--workers", "1", "--cache-dir", disk) as proc:
                 json.loads(proc.stdout.readline())  # ready
                 proc.stdin.write(
                     json.dumps({"id": 1, "formula": VALID_F}) + "\n"
@@ -567,11 +615,115 @@ class TestSubprocessEndToEnd:
                     json.loads(line) for line in proc.stdout.readlines()
                 ]
                 assert proc.wait(timeout=60) == 0
-            finally:
-                proc.kill()
             by_id = {r["id"]: r for r in responses if "id" in r}
             assert by_id[1]["status"] == "VALID"
             assert by_id[1]["cache"][expect_tier] == 1
+
+
+class TestForkModeEndToEnd:
+    """The default configuration (fork on) over a stdin the client keeps
+    open, as a verifier streaming queries does: a forked member must not
+    block on the stdin the reader thread is waiting on."""
+
+    def test_one_shot_decides_with_stdin_open(self):
+        with _serve("--timeout", "5") as proc:
+            lines = _Lines(proc.stdout)
+            assert lines.next(within=60)["event"] == "ready"
+            _send(proc, {"id": 1, "formula": "(= x x)"})
+            response = lines.next(within=2.0)
+        assert response["id"] == 1
+        assert response["status"] == "VALID"
+
+    def test_killed_member_spares_the_next_request(self):
+        with _serve("--timeout", "5") as proc:
+            lines = _Lines(proc.stdout)
+            assert lines.next(within=60)["event"] == "ready"
+            sent = time.monotonic()
+            _send(
+                proc,
+                {
+                    "id": 1,
+                    "formula": SLOW_F,
+                    "engine": "brute",
+                    "timeout": 1,
+                    "options": {"limit": 10**9},
+                },
+            )
+            _send(proc, {"id": 2, "formula": VALID_F})
+            answered = {}
+            for _ in range(2):
+                response = lines.next(within=4.0)
+                answered[response["id"]] = (response, time.monotonic() - sent)
+            proc.stdin.close()
+            assert lines.next(within=10)["event"] == "bye"
+            assert proc.wait(timeout=10) == 0
+            # The server reaped every member it forked before it exited.
+            assert _group_is_empty(proc.pid)
+        slow, slow_s = answered[1]
+        quick, quick_s = answered[2]
+        assert slow["error"]["kind"] == "deadline"
+        assert slow_s < 4.0
+        assert quick["status"] == "VALID"
+        assert quick_s < 2.0
+
+    def test_forked_one_shots_interleave_with_a_session(self):
+        # Distinct one-shots, each its own forked race (no cache), beside
+        # one session's ops, two requests outstanding: no response line
+        # may be torn, lost, doubled or wrong.
+        one_shots = []
+        for n in range(1, 31):
+            chain = " ".join("(< x%d x%d)" % (i, i + 1) for i in range(n))
+            one_shots.append(
+                ("(=> (and %s) (< x0 x%d))" % (chain, n), "VALID")
+            )
+            one_shots.append(
+                ("(=> (and %s) (< x%d x0))" % (chain, n), "INVALID")
+            )
+        cycle = [
+            ({"kind": "push"}, {"depth": 1}),
+            ({"kind": "assert", "formula": "(< a b)"}, {"ok": True}),
+            ({"kind": "check"}, {"status": "sat"}),
+            ({"kind": "assert", "formula": "(< b a)"}, {"ok": True}),
+            ({"kind": "check"}, {"status": "unsat"}),
+            ({"kind": "pop"}, {"depth": 0}),
+        ]
+        with _serve("--no-cache", "--timeout", "5") as proc:
+            lines = _Lines(proc.stdout)
+            assert lines.next(within=60)["event"] == "ready"
+            _send(proc, {"id": 0, "kind": "open"})
+            sid = lines.next(within=10)["session"]
+            requests = []
+            for i, (formula, status) in enumerate(one_shots):
+                requests.append(({"formula": formula}, {"status": status}))
+                op, expect = cycle[i % len(cycle)]
+                requests.append((dict(op, session=sid), expect))
+            expected = {}
+            unsent = iter(enumerate(requests, start=1))
+
+            def send_next():
+                for rid, (request, expect) in unsent:
+                    expected[rid] = expect
+                    _send(proc, dict(request, id=rid))
+                    return
+
+            send_next()
+            send_next()
+            answered = set()
+            while len(answered) < len(expected):
+                response = lines.next(within=30)
+                rid = response.get("id")
+                assert rid in expected and rid not in answered, response
+                answered.add(rid)
+                assert response["ok"], response
+                for key, value in expected[rid].items():
+                    assert response[key] == value, response
+                send_next()
+            proc.stdin.close()
+            bye = lines.next(within=30)
+            assert proc.wait(timeout=30) == 0
+        assert len(answered) == len(requests)
+        assert bye["event"] == "bye"
+        assert bye["served"] == len(requests) + 1
 
 
 class TestRaceCancellation:
