@@ -430,19 +430,6 @@ class Session:
 
     # -- checking ------------------------------------------------------------
 
-    def state_key(self) -> str:
-        """Canonical key of the current state's validity query.
-
-        The key of ``Not(conjunction)`` — the same key ``repro check``
-        on that formula would cache under, which is what lets session
-        states compose with the two-tier cache.
-        """
-        from ..logic.canonical import canonical_key
-
-        active = self.assertions()
-        conjunction: Formula = And(*active) if active else TRUE
-        return canonical_key(Not(conjunction))
-
     def last_core(self) -> Optional[List[Formula]]:
         """Unsat core of the last UNSAT ``check_sat`` (sound: the core
         formulas alone are jointly unsatisfiable; minimal only on the

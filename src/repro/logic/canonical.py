@@ -5,52 +5,44 @@ Boolean constants, and uninterpreted function/predicate symbols describe
 the same decision problem: a verdict for one is a verdict for the other,
 and a countermodel transfers by renaming.  This module computes
 
-* :func:`canonical_key` — a process-stable structural digest that is
-  identical for alpha-equivalent formulas (isomorphic formulas collide by
-  construction), and
-* :func:`canonicalize` — the renamed representative formula itself plus
-  the renaming maps, so a countermodel found for the representative can
-  be lifted back to any member of the isomorphism class
-  (:func:`lift_interpretation`).
+* :func:`canonicalize` — the renamed representative formula, its text
+  and key, plus the renaming maps, so a countermodel found for the
+  representative can be lifted back to any member of the class
+  (:func:`lift_interpretation`), and
+* :func:`canonical_key` — the key alone, a process-stable digest.
 
 The result cache (:mod:`repro.service.cache`) keys verdicts on the
 canonical key and solves the canonical *formula*, so a countermodel it
-stores lifts to every member of the isomorphism class.
+stores lifts to every member of the class.
 
 Construction
 ------------
-Symbols are renamed to ``v0, v1, ...`` (integer constants), ``b0, ...``
-(Boolean constants), ``f0, ...`` (function symbols) and ``q0, ...``
-(predicate symbols) in order of first occurrence along a deterministic
-DAG traversal.  Two details make the scheme independent of this process's
-interning history (``Eq`` stores its arguments sorted by interning
-``uid``, which is *not* stable across processes or renamings):
+One left-to-right walk over the DAG names each symbol at its first
+occurrence: ``v0, v1, ...`` (integer constants), ``b0, ...`` (Boolean
+constants), ``f0, ...`` (function symbols) and ``q0, ...`` (predicate
+symbols).  The representative is the formula renamed through those
+names, its text is :func:`repro.logic.printer.to_sexpr` of the
+representative, and the key is a SHA-256 digest of the text.
 
-* a name-blind **shape refinement** (a few Weisfeiler–Lehman-style
-  rounds) assigns every symbol a color from its occurrence structure
-  only; ``Eq`` children are visited smaller-color-digest first, so the
-  traversal order — and hence the first-occurrence numbering — does not
-  depend on how ``Eq`` happened to store its arguments.  When the two
-  children tie, the one visited first gets a fresh color and the
-  refinement runs again, so every later tie follows that choice
-  (individualization–refinement);
-* the canonical text renders ``Eq`` with its two rendered arguments
-  sorted, so the digest is invariant under argument order.
-
-Soundness never depends on the refinement: the canonical form is always
-an injective renaming of the input (plus ``Eq`` argument swaps, which
-``=`` is symmetric under), so equal canonical *text* implies the same
-decision problem.  In rare perfectly-symmetric cases two isomorphic
-formulas may still receive different keys — a missed cache hit, never a
-wrong verdict.
+Every node keeps its children in the order they were written (``=``
+included), and parsing, printing and :func:`rename_symbols` all keep
+that order.  So the walk, and with it the key, depends only on the
+formula's shape, never on names or on what this process interned
+before.  Two formulas share a key exactly when one is a consistent
+renaming of the other: equal text is the same formula up to names, so a
+shared key never changes a verdict.  Formulas that differ only in how
+an ``=`` is written (``(and (= x y) (< x z))`` against
+``(and (= y x) (< x z))``) get different keys, which costs a cache hit,
+never a wrong answer.
 """
 
 from __future__ import annotations
 
 import hashlib
 from dataclasses import dataclass, field
-from typing import Dict, List, Optional, Tuple
+from typing import Dict, List, Optional, Set, Tuple
 
+from .printer import to_sexpr
 from .semantics import Interpretation
 from .terms import (
     And,
@@ -81,11 +73,7 @@ __all__ = [
 ]
 
 #: Bumping this invalidates every persisted key (schema evolution).
-CANONICAL_VERSION = 2
-
-#: Upper bound on shape-refinement rounds (the loop stops as soon as the
-#: color partition stops refining, which for 1-WL is a fixpoint).
-_MAX_REFINE_ROUNDS = 32
+CANONICAL_VERSION = 3
 
 _KIND_VAR = "var"
 _KIND_BOOL = "bool"
@@ -100,14 +88,6 @@ _PREFIX = {
 }
 
 
-def _digest(*parts: bytes) -> bytes:
-    h = hashlib.sha256()
-    for part in parts:
-        h.update(part)
-        h.update(b"\x1f")
-    return h.digest()
-
-
 def _node_symbol(node: Node) -> Optional[Tuple[str, str]]:
     if isinstance(node, Var):
         return (_KIND_VAR, node.name)
@@ -120,100 +100,15 @@ def _node_symbol(node: Node) -> Optional[Tuple[str, str]]:
     return None
 
 
-Edges = Dict[object, List[Tuple[bytes, object]]]
+def _assign_names(root: Node) -> Dict[str, Dict[str, str]]:
+    """Each symbol's canonical name, by kind, in order of first occurrence.
 
-
-def _wl_colors(root: Node) -> Tuple[Dict[object, bytes], Edges]:
-    """Name-blind colors for every DAG node and applied symbol.
-
-    Bidirectional Weisfeiler–Lehman refinement over the term DAG plus one
-    vertex per applied function/predicate symbol:
-
-    * vertices start from their local, name-blind tag (node kind, offset
-      constant, Boolean constant value, symbol arity);
-    * each round folds in the multiset of (direction, position, neighbor
-      color) over every incident edge — ``Eq``'s two argument positions
-      share one label because ``Eq`` stores its arguments sorted by
-      interning ``uid``, an artifact that must not influence the result —
-      and every application node is linked to its symbol vertex;
-    * the loop stops when the color partition stops refining (each new
-      color folds in the old one, so refinement is monotone and a stalled
-      round is a fixpoint).
-
-    Downward edges give each color its subtree, upward edges its context,
-    so two vertices share a final color only if no amount of structural
-    information (short of full graph canonization) tells them apart.
-    Keys are ``id(node)`` for DAG nodes and ``(kind, name)`` tuples for
-    applied symbols; ``Var``/``BoolVar`` leaves are hash-consed (one node
-    per name), so their node color doubles as the symbol color.  Returns
-    the colors and the incidence lists :func:`_refine` reads.
+    The preorder walk visits children left to right and each shared node
+    once, at its first occurrence, so the numbering follows the DAG's
+    shape only.
     """
-    nodes = list(postorder(root))
-    colors: Dict[object, bytes] = {}
-    edges: Edges = {}
-
-    def add_edge(a: object, tag: bytes, b: object) -> None:
-        edges.setdefault(a, []).append((b"down:" + tag, b))
-        edges.setdefault(b, []).append((b"up:" + tag, a))
-
-    for node in nodes:
-        tag: List[bytes] = [type(node).__name__.encode()]
-        if isinstance(node, Offset):
-            tag.append(str(node.k).encode())
-        elif isinstance(node, BoolConst):
-            tag.append(str(node.value).encode())
-        colors[id(node)] = _digest(*tag)
-        edges.setdefault(id(node), [])
-        if isinstance(node, (FuncApp, PredApp)):
-            symbol = _node_symbol(node)
-            if symbol not in colors:
-                colors[symbol] = _digest(
-                    symbol[0].encode(), str(len(node.args)).encode()
-                )
-            add_edge(id(node), b"sym", symbol)
-        for index, child in enumerate(node.children()):
-            position = (
-                b"eq" if isinstance(node, Eq) else str(index).encode()
-            )
-            add_edge(id(node), position, id(child))
-    return _refine(colors, edges), edges
-
-
-def _refine(colors: Dict[object, bytes], edges: Edges) -> Dict[object, bytes]:
-    """WL rounds from ``colors`` until the partition stops refining."""
-    classes = len(set(colors.values()))
-    for _ in range(_MAX_REFINE_ROUNDS):
-        if classes == len(colors):
-            break
-        refined: Dict[object, bytes] = {}
-        for key, color in colors.items():
-            # A color is a fixed-width digest, so tag + color is
-            # unambiguous without hashing each edge on its own.
-            incident = sorted(tag + colors[other] for tag, other in edges[key])
-            refined[key] = _digest(color, *incident)
-        colors = refined
-        refined_classes = len(set(colors.values()))
-        if refined_classes == classes:
-            break
-        classes = refined_classes
-    return colors
-
-
-def _assign_names(root: Node) -> Dict[Tuple[str, str], str]:
-    """First-occurrence canonical names along a deterministic DFS.
-
-    ``Eq`` children are visited smaller-color first, so the numbering
-    does not depend on ``Eq``'s uid-sorted storage.  A tie means even
-    bidirectional WL refinement cannot tell the two subtrees apart: the
-    child visited first (stored order) then gets a fresh color, and the
-    colors are refined again before the walk goes on, so a later tie
-    that the choice decides (say ``(= (f x) (g y))`` after ``(= x y)``)
-    follows it instead of being broken by stored order again.
-    """
-    colors, edges = _wl_colors(root)
-    naming: Dict[Tuple[str, str], str] = {}
-    counters: Dict[str, int] = {}
-    seen: set = set()
+    names: Dict[str, Dict[str, str]] = {kind: {} for kind in _PREFIX}
+    seen: Set[int] = set()
     stack: List[Node] = [root]
     while stack:
         node = stack.pop()
@@ -221,74 +116,14 @@ def _assign_names(root: Node) -> Dict[Tuple[str, str], str]:
             continue
         seen.add(id(node))
         symbol = _node_symbol(node)
-        if symbol is not None and symbol not in naming:
-            kind = symbol[0]
-            index = counters.get(kind, 0)
-            counters[kind] = index + 1
-            naming[symbol] = "%s%d" % (_PREFIX[kind], index)
-        children = list(node.children())
-        if isinstance(node, Eq):
-            children.sort(key=lambda c: colors[id(c)])
-            first, second = children
-            if first is not second and (
-                colors[id(first)] == colors[id(second)]
-            ):
-                colors[id(first)] = _digest(b"chosen", colors[id(first)])
-                colors.update(_refine(colors, edges))
+        if symbol is not None:
+            kind, name = symbol
+            table = names[kind]
+            if name not in table:
+                table[name] = "%s%d" % (_PREFIX[kind], len(table))
         # LIFO stack: push reversed so children are visited left-to-right.
-        stack.extend(reversed(children))
-    return naming
-
-
-def _canonical_text(
-    root: Node, naming: Dict[Tuple[str, str], str]
-) -> str:
-    """Render the canonical s-expression (``Eq`` arguments sorted)."""
-    memo: Dict[int, str] = {}
-    for node in postorder(root):
-        if isinstance(node, Var):
-            text = naming[(_KIND_VAR, node.name)]
-        elif isinstance(node, BoolVar):
-            text = naming[(_KIND_BOOL, node.name)]
-        elif isinstance(node, BoolConst):
-            text = "true" if node.value else "false"
-        elif isinstance(node, Offset):
-            text = "(+ %s %d)" % (memo[id(node.base)], node.k)
-        elif isinstance(node, FuncApp):
-            text = "(%s %s)" % (
-                naming[(_KIND_FUNC, node.symbol)],
-                " ".join(memo[id(a)] for a in node.args),
-            )
-        elif isinstance(node, PredApp):
-            text = "(%s %s)" % (
-                naming[(_KIND_PRED, node.symbol)],
-                " ".join(memo[id(a)] for a in node.args),
-            )
-        elif isinstance(node, Ite):
-            text = "(ite %s %s %s)" % (
-                memo[id(node.cond)],
-                memo[id(node.then)],
-                memo[id(node.els)],
-            )
-        elif isinstance(node, Not):
-            text = "(not %s)" % memo[id(node.arg)]
-        elif isinstance(node, And):
-            text = "(and %s)" % " ".join(memo[id(a)] for a in node.args)
-        elif isinstance(node, Or):
-            text = "(or %s)" % " ".join(memo[id(a)] for a in node.args)
-        elif isinstance(node, Implies):
-            text = "(=> %s %s)" % (memo[id(node.lhs)], memo[id(node.rhs)])
-        elif isinstance(node, Iff):
-            text = "(iff %s %s)" % (memo[id(node.lhs)], memo[id(node.rhs)])
-        elif isinstance(node, Eq):
-            args = sorted([memo[id(node.lhs)], memo[id(node.rhs)]])
-            text = "(= %s %s)" % (args[0], args[1])
-        elif isinstance(node, Lt):
-            text = "(< %s %s)" % (memo[id(node.lhs)], memo[id(node.rhs)])
-        else:
-            raise TypeError("unknown node kind: %r" % (node,))
-        memo[id(node)] = text
-    return memo[id(root)]
+        stack.extend(reversed(node.children()))
+    return names
 
 
 def rename_symbols(
@@ -364,9 +199,10 @@ class CanonicalForm:
     """A formula's canonical representative plus the way back.
 
     ``formula`` is the alpha-renamed representative (identical — as a
-    hash-consed node — for every member of the isomorphism class this
-    process has seen); ``key`` is its process-stable digest; the four
-    maps send canonical names back to the original formula's names.
+    hash-consed node — for every member of the class this process has
+    seen); ``text`` is its :func:`~repro.logic.printer.to_sexpr`
+    rendering and ``key`` the process-stable digest of that text; the
+    four maps send canonical names back to the original formula's names.
     """
 
     formula: Formula
@@ -379,29 +215,10 @@ class CanonicalForm:
 
 
 def canonicalize(formula: Formula) -> CanonicalForm:
-    """The canonical representative of ``formula``'s isomorphism class."""
+    """The canonical representative of ``formula``'s renaming class."""
     if not isinstance(formula, Formula):
         raise TypeError("canonicalize expects a Formula, got %r" % (formula,))
-    naming = _assign_names(formula)
-    text = _canonical_text(formula, naming)
-    key = hashlib.sha256(
-        ("suf-canonical-v%d\n%s" % (CANONICAL_VERSION, text)).encode()
-    ).hexdigest()
-    forward: Dict[str, Dict[str, str]] = {
-        _KIND_VAR: {},
-        _KIND_BOOL: {},
-        _KIND_FUNC: {},
-        _KIND_PRED: {},
-    }
-    backward: Dict[str, Dict[str, str]] = {
-        _KIND_VAR: {},
-        _KIND_BOOL: {},
-        _KIND_FUNC: {},
-        _KIND_PRED: {},
-    }
-    for (kind, original), canonical in naming.items():
-        forward[kind][original] = canonical
-        backward[kind][canonical] = original
+    forward = _assign_names(formula)
     renamed = rename_symbols(
         formula,
         vars=forward[_KIND_VAR],
@@ -409,6 +226,14 @@ def canonicalize(formula: Formula) -> CanonicalForm:
         funcs=forward[_KIND_FUNC],
         preds=forward[_KIND_PRED],
     )
+    text = to_sexpr(renamed)
+    key = hashlib.sha256(
+        ("suf-canonical-v%d\n%s" % (CANONICAL_VERSION, text)).encode()
+    ).hexdigest()
+    backward = {
+        kind: {canonical: original for original, canonical in names.items()}
+        for kind, names in forward.items()
+    }
     return CanonicalForm(
         formula=renamed,
         key=key,
@@ -421,16 +246,12 @@ def canonicalize(formula: Formula) -> CanonicalForm:
 
 
 def canonical_key(formula: Formula) -> str:
-    """Process-stable digest shared by every alpha-equivalent formula."""
-    if not isinstance(formula, Formula):
-        raise TypeError(
-            "canonical_key expects a Formula, got %r" % (formula,)
-        )
-    naming = _assign_names(formula)
-    text = _canonical_text(formula, naming)
-    return hashlib.sha256(
-        ("suf-canonical-v%d\n%s" % (CANONICAL_VERSION, text)).encode()
-    ).hexdigest()
+    """Process-stable digest shared by every renaming of ``formula``.
+
+    Two formulas share it exactly when one is a consistent renaming of
+    the other, with every ``=`` written the same way round.
+    """
+    return canonicalize(formula).key
 
 
 def lift_interpretation(

@@ -24,7 +24,14 @@ Design notes
   ``x < y + 1`` (we work over the integers).
 * Node objects are immutable; ``==`` is structural but, thanks to interning,
   hits the identity fast path.  Every node carries a unique increasing
-  ``uid`` usable for deterministic ordering.
+  ``uid`` usable for deterministic ordering within one process; it
+  depends on what the process interned before, so nothing that must be
+  the same across processes or renamings reads it.
+* Every node keeps its children in the order they were written, ``=``
+  included: ``(= x y)`` and ``(= y x)`` are two nodes.  Printing,
+  parsing and renaming therefore preserve a formula's shape exactly,
+  which is what lets :mod:`repro.logic.canonical` name symbols in one
+  walk.
 * Constructors simplify: ``Ite(TRUE, a, b)`` returns ``a``, ``Eq(t, t)``
   returns ``TRUE``, and so on.  A collapsing ``__new__`` is therefore
   declared to return the *sort* (:class:`Term` / :class:`Formula`), not the
@@ -545,9 +552,8 @@ class Eq(Formula):
         if lb is rb:
             # Same base term: x + a = x + b folds to a constant.
             return TRUE if lk == rk else FALSE
-        # Canonical argument order keeps a = b and b = a as one DAG node.
-        if lhs.uid > rhs.uid:
-            lhs, rhs = rhs, lhs
+        # Arguments stay in written order: a swap into interning order
+        # would make the node depend on what was built before.
         return Node.__new__(cls, lhs, rhs)
 
     @staticmethod

@@ -787,11 +787,6 @@ class CdclSolver:
 
     # -- conflict analysis ---------------------------------------------------
 
-    def _bump_var(self, var: int) -> None:
-        self.activity[var] += self.var_inc
-        if self.activity[var] > 1e100:
-            self._rescale_var_activity()
-
     def _rescale_var_activity(self) -> None:
         activity = self.activity
         for v in range(1, self.nvars + 1):

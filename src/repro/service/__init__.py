@@ -12,10 +12,11 @@ the missing reuse layer:
   JSON requests over stdin/stdout with per-request deadlines, bounded
   queue backpressure and graceful drain on SIGTERM.
 
-Isomorphic formulas share one cache entry by construction: keys are the
-alpha-invariant canonical digests of :mod:`repro.logic.canonical`, and
-countermodels are stored in canonical names and lifted back through each
-requester's renaming map.
+Formulas equal up to a consistent renaming of their symbols share one
+cache entry by construction: keys are the canonical digests of
+:mod:`repro.logic.canonical`, which name symbols in one first-occurrence
+walk and read each ``=`` as written, and countermodels are stored in
+canonical names and lifted back through each requester's renaming map.
 """
 
 from .cache import (

@@ -1,12 +1,15 @@
 """Canonicalization-keyed two-tier result cache.
 
 The cache maps the *alpha-invariant canonical key* of a formula
-(:func:`repro.logic.canonical.canonical_key`) to a decided verdict, so
-every member of an isomorphism class shares one entry.  Entries are
-scoped by a *configuration fingerprint* — engine name plus every
-encoding knob that can change the verdict-relevant behaviour — so a
-cache populated under one configuration self-invalidates under another
-instead of serving stale answers.
+(:func:`repro.logic.canonical.canonicalize`) to a decided verdict, so
+every consistent renaming of a formula shares one entry.  The key reads
+each ``=`` in its written argument order: formulas that differ only in
+how an equation is written get separate entries, a missed hit that never
+changes a verdict.  Entries are scoped by a *configuration fingerprint*
+— engine name plus every encoding knob that can change the
+verdict-relevant behaviour — so a cache populated under one
+configuration self-invalidates under another instead of serving stale
+answers.
 
 Two tiers:
 
@@ -22,7 +25,7 @@ that produced them.  ``UNKNOWN`` / limit outcomes depend on budgets and
 are never stored.  Countermodels are stored in *canonical* names and
 lifted back through each requester's renaming map
 (:func:`repro.logic.canonical.lift_interpretation`), so a hit can serve
-a countermodel for a formula the cache has never literally seen.
+a countermodel for a renaming the cache has never literally seen.
 """
 
 from __future__ import annotations

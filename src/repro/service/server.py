@@ -32,9 +32,11 @@ overridable per check) measured from receipt, and the graceful drain
 evicts every open session after answering its accepted ops.
 
 All solves go through the shared result cache
-(:mod:`repro.service.cache`) unless disabled, so repeated and
-alpha-isomorphic requests within one server lifetime are answered from
-memory.
+(:mod:`repro.service.cache`) unless disabled, so repeated requests, and
+requests that rename another's symbols consistently, are answered from
+memory within one server lifetime.  A client that closes its end of the
+pipes stops the server: the failed write drops every later response,
+and the accepted requests drain as after ``SIGTERM``.
 """
 
 from __future__ import annotations
@@ -120,17 +122,46 @@ class _ServerState:
     counter_lock: threading.Lock = field(default_factory=threading.Lock)
     served: int = 0
     rejected: int = 0
-    in_flight: int = 0
+    #: Set once a write to ``out`` failed: the client is gone, so every
+    #: later write is dropped.
+    out_lost: bool = False
     sessions: Dict[str, _ServeSession] = field(default_factory=dict)
     sessions_lock: threading.Lock = field(default_factory=threading.Lock)
     sessions_opened: int = 0
     sessions_evicted: int = 0
 
     def write(self, obj: Dict[str, Any]) -> None:
+        """Write one response line; a client that has gone stops the server.
+
+        A closed pipe (``BrokenPipeError``) or a closed stream makes the
+        server stop accepting requests and drop every later write, so
+        workers still finish their jobs and the drain completes.
+        """
         line = json.dumps(obj, sort_keys=True)
         with self.write_lock:
-            self.out.write(line + "\n")
-            self.out.flush()
+            if self.out_lost:
+                return
+            try:
+                self.out.write(line + "\n")
+                self.out.flush()
+            except (OSError, ValueError):
+                self.out_lost = True
+                self.stop.set()
+                self._detach_stdout()
+
+    def _detach_stdout(self) -> None:
+        """Point fd 1 at ``os.devnull`` when ``out`` is the process's
+        stdout, so the interpreter's flush at exit does not fail again
+        on what the failed write left buffered."""
+        if self.out is not sys.stdout:
+            return
+        try:
+            fd = self.out.fileno()
+        except (OSError, ValueError):
+            return
+        devnull = os.open(os.devnull, os.O_WRONLY)
+        os.dup2(devnull, fd)
+        os.close(devnull)
 
     def bump(self, attr: str, delta: int = 1) -> None:
         with self.counter_lock:
@@ -592,12 +623,10 @@ def _worker(state: _ServerState) -> None:
             if state.eof.is_set() or state.stop.is_set():
                 return
             continue
-        state.bump("in_flight")
         if "_session_turn" in payload:
             try:
                 _session_turn(state, payload["_session_turn"])
             finally:
-                state.bump("in_flight", -1)
                 state.jobs.task_done()
             continue
         try:
@@ -610,7 +639,6 @@ def _worker(state: _ServerState) -> None:
             )
         state.write(response)
         state.bump("served")
-        state.bump("in_flight", -1)
         state.jobs.task_done()
 
 

@@ -105,12 +105,11 @@ class TestAlphaInvariance:
             _alpha_variant(formula)
         )
 
-    def test_symmetric_eq_ties_follow_one_choice(self):
-        # Refinement cannot tell v0 from v1, nor (f0 v0) from (f1 v1), so
-        # both Eqs tie.  The variant's constants are interned in the
-        # opposite order (its applications in the same order), so its
-        # first Eq stores its children the other way round; the second
-        # tie must follow the first choice, not stored order again.
+    def test_variant_interned_in_opposite_order_shares_key(self):
+        # The variant is a renaming of the original whose constants were
+        # interned in the opposite order.  Each = keeps its written
+        # order, so the naming walk meets the symbols in the same order
+        # in both and interning history cannot split their keys.
         original = parse_formula(
             "(and (= tie_a tie_b) (= (tie_f tie_a) (tie_g tie_b)))"
         )
@@ -230,8 +229,9 @@ class TestMutationsChangeKey:
         assert canonical_key(f) == canonical_key(h)
 
     def test_eq_argument_order_is_canonical(self):
-        # Eq is symmetric; hash-consing may store either orientation
-        # depending on interning order, which the key must not leak.
+        # (= y x) is (= x y) with x and y swapped, so the naming walk
+        # gives both the same text; which constant was interned first
+        # does not matter.
         x, y = Var("x"), Var("y")
         assert canonical_key(Eq(x, y)) == canonical_key(Eq(y, x))
 
@@ -342,6 +342,16 @@ class TestProcessStability:
             check=True,
         )
         assert json.loads(out.stdout) == parent
+
+
+class TestOnePrinter:
+    @settings(max_examples=100, deadline=None)
+    @given(seed=st.integers(min_value=0, max_value=10_000))
+    def test_key_text_is_the_printed_representative(self, seed):
+        # The key hashes the same text the wire format prints, so there
+        # is no second renderer to drift from the printer.
+        form = canonicalize(generate_formula(seed, _profile_for(seed)))
+        assert form.text == to_sexpr(form.formula)
 
 
 class TestBenchmarkKeyUnification:

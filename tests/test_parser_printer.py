@@ -111,6 +111,13 @@ class TestRoundTrip:
         formula = random_suf_formula(seed)
         assert parse_formula(to_sexpr(formula)) is formula
 
+    def test_eq_prints_as_written(self):
+        # The constant written second was interned first: printing still
+        # keeps the equation's written order.
+        b.const("print_order_x")
+        formula = parse_formula("(= print_order_y print_order_x)")
+        assert to_sexpr(formula) == "(= print_order_y print_order_x)"
+
     def test_pretty_parses_back(self):
         formula = random_suf_formula(7, depth=4)
         assert parse_formula(pretty(formula)) is formula

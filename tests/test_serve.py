@@ -235,6 +235,50 @@ class TestInlineServe:
         assert "cache" not in responses[-1]
 
 
+class _PipeClosedAfterReady(io.StringIO):
+    """A stdout whose reader goes away once it has read ``ready``."""
+
+    def write(self, text):
+        if self.getvalue():
+            raise BrokenPipeError(32, "Broken pipe")
+        return super().write(text)
+
+
+class TestClientGone:
+    """A client that closes its end must not crash or hang the server."""
+
+    def test_failed_write_stops_and_drains(self):
+        stdin = io.StringIO(json.dumps({"id": 1, "formula": VALID_F}) + "\n")
+        stdout = _PipeClosedAfterReady()
+        result = {}
+
+        def serve():
+            result["rc"] = run_server(
+                ServeConfig(
+                    workers=1, fork=False, install_signal_handlers=False
+                ),
+                stdin=stdin,
+                stdout=stdout,
+            )
+
+        thread = threading.Thread(target=serve, daemon=True)
+        thread.start()
+        thread.join(timeout=5)
+        assert not thread.is_alive(), "run_server hung after a failed write"
+        assert result["rc"] == 0
+        assert json.loads(stdout.getvalue())["event"] == "ready"
+
+    def test_closed_pipes_exit_cleanly(self):
+        with _serve(stderr=subprocess.PIPE) as proc:
+            assert json.loads(proc.stdout.readline())["event"] == "ready"
+            proc.stdout.close()
+            proc.stdin.close()
+            rc = proc.wait(timeout=5)
+            err = proc.stderr.read()
+        assert "Traceback" not in err
+        assert rc == 0
+
+
 class TestSessions:
     """Stateful session ids on the wire protocol."""
 
@@ -446,7 +490,7 @@ class TestSessions:
 
 
 @contextlib.contextmanager
-def _serve(*extra_args):
+def _serve(*extra_args, stderr=subprocess.DEVNULL):
     """``repro serve`` in a subprocess, in its default configuration (fork
     on) unless ``extra_args`` say otherwise.
 
@@ -460,7 +504,7 @@ def _serve(*extra_args):
         [sys.executable, "-m", "repro.cli", "serve"] + list(extra_args),
         stdin=subprocess.PIPE,
         stdout=subprocess.PIPE,
-        stderr=subprocess.DEVNULL,
+        stderr=stderr,
         text=True,
         env=env,
         start_new_session=True,

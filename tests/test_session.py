@@ -34,6 +34,7 @@ from repro.engine.session import (
     Session,
     SessionError,
 )
+from repro.logic.canonical import canonical_key
 from repro.logic.parser import parse_formula
 from repro.logic.semantics import evaluate
 from repro.logic.terms import (
@@ -207,10 +208,13 @@ class TestSessionBasics:
         assert session.assert_formula(parse_formula("(< y z)")) == 1
 
     def test_state_key_matches_check_key(self):
+        # A session check keys its state by the one-shot validity query
+        # of the conjunction, so it shares the cache with `repro check`.
         session = Session(cache=ResultCache())
         session.assert_formula(parse_formula("(< x y)"))
-        key = session.state_key()
-        assert session.check_sat().key == key
+        session.assert_formula(parse_formula("(= (f x) y)"))
+        expected = canonical_key(Not(And(*session.assertions())))
+        assert session.check_sat().key == expected
 
     def test_reasserting_same_formula_reuses_encoding(self):
         session = Session()

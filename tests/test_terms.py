@@ -136,9 +136,15 @@ class TestAtomFolding:
         assert Eq(Offset(x, 1), Offset(x, 3)) is FALSE
         assert Eq(x, Offset(x, 1)) is FALSE
 
-    def test_eq_canonical_order(self):
-        x, y = Var("x"), Var("y")
-        assert Eq(x, y) is Eq(y, x)
+    def test_eq_keeps_written_order(self):
+        # Arguments stay as written, whichever constant was interned
+        # first, so the two orientations are two nodes.
+        x = Var("written_order_x")
+        y = Var("written_order_y")
+        assert x.uid < y.uid
+        assert Eq(x, y).lhs is x
+        assert Eq(y, x).lhs is y
+        assert Eq(x, y) is not Eq(y, x)
 
     def test_lt_irreflexive(self):
         x = Var("x")
